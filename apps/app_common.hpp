@@ -8,8 +8,10 @@
 // against the serial reference, and prints a LibSciBench-style summary.
 #pragma once
 
+#include <algorithm>
 #include <fstream>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -51,6 +53,27 @@ inline SplitArgs split_args(int argc, const char** argv) {
     }
   }
   return out;
+}
+
+/// Rejects a --size the dwarf does not support before any setup runs,
+/// naming the supported sizes; each app's handler prints the message and
+/// exits 2.
+inline void require_supported_size(const dwarfs::Dwarf& dwarf,
+                                   const harness::CliOptions& cli) {
+  if (!cli.size) return;
+  const std::vector<dwarfs::ProblemSize> sizes = dwarf.supported_sizes();
+  if (std::find(sizes.begin(), sizes.end(), *cli.size) != sizes.end()) {
+    return;
+  }
+  std::string msg = dwarf.name();
+  msg += " does not support --size ";
+  msg += dwarfs::to_string(*cli.size);
+  msg += "; supported:";
+  for (const dwarfs::ProblemSize s : sizes) {
+    msg += ' ';
+    msg += dwarfs::to_string(s);
+  }
+  throw std::invalid_argument(msg);
 }
 
 /// Runs an already-configured dwarf under the harness and prints the

@@ -9,6 +9,7 @@ int main(int argc, const char** argv) {
   try {
     const apps::SplitArgs a = apps::split_args(argc, argv);
     dwarfs::Crc dwarf;
+    apps::require_supported_size(dwarf, a.cli);
     std::size_t bytes = dwarfs::Crc::buffer_bytes_for(
         a.cli.size.value_or(dwarfs::ProblemSize::kTiny));
     for (std::size_t i = 0; i < a.benchmark_args.size(); ++i) {

@@ -10,6 +10,7 @@ int main(int argc, const char** argv) {
   try {
     const apps::SplitArgs a = apps::split_args(argc, argv);
     dwarfs::Csr dwarf;
+    apps::require_supported_size(dwarf, a.cli);
     const std::string file = apps::flag_value(a.benchmark_args, "-i", "");
     if (!file.empty()) {
       dwarf.configure_with_matrix(dwarfs::load_csr(file));

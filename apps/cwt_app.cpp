@@ -9,6 +9,7 @@ int main(int argc, const char** argv) {
   try {
     const apps::SplitArgs a = apps::split_args(argc, argv);
     dwarfs::Cwt dwarf;
+    apps::require_supported_size(dwarf, a.cli);
     const std::size_t n = std::stoul(apps::arg_or(
         a.benchmark_args, 0,
         std::to_string(dwarfs::Cwt::length_for(

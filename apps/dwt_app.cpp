@@ -8,6 +8,7 @@ int main(int argc, const char** argv) {
   try {
     const apps::SplitArgs a = apps::split_args(argc, argv);
     dwarfs::Dwt dwarf;
+    apps::require_supported_size(dwarf, a.cli);
     const unsigned levels = static_cast<unsigned>(
         std::stoul(apps::flag_value(a.benchmark_args, "-l", "3")));
     dwarfs::Dwt::Extent e = dwarfs::Dwt::extent_for(

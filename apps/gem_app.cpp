@@ -9,6 +9,7 @@ int main(int argc, const char** argv) {
   try {
     const apps::SplitArgs a = apps::split_args(argc, argv);
     dwarfs::Gem dwarf;
+    apps::require_supported_size(dwarf, a.cli);
     const std::string pqr = apps::flag_value(a.benchmark_args, "-i", "");
     if (!pqr.empty()) {
       dwarf.configure_with_molecule(dwarfs::load_pqr(pqr));

@@ -8,6 +8,7 @@ int main(int argc, const char** argv) {
   try {
     const apps::SplitArgs a = apps::split_args(argc, argv);
     dwarfs::Hmm dwarf;
+    apps::require_supported_size(dwarf, a.cli);
     const auto preset = dwarfs::Hmm::params_for(
         a.cli.size.value_or(dwarfs::ProblemSize::kTiny));
     dwarfs::Hmm::Params p;

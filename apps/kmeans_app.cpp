@@ -8,6 +8,7 @@ int main(int argc, const char** argv) {
   try {
     const apps::SplitArgs a = apps::split_args(argc, argv);
     dwarfs::KMeans dwarf;
+    apps::require_supported_size(dwarf, a.cli);
     dwarfs::KMeans::Params params = dwarfs::KMeans::params_for(
         a.cli.size.value_or(dwarfs::ProblemSize::kTiny));
     // -g (generate random points) is implied: the suite always generates.

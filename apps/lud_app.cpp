@@ -11,6 +11,7 @@ int main(int argc, const char** argv) {
   try {
     const apps::SplitArgs a = apps::split_args(argc, argv);
     dwarfs::Lud dwarf;
+    apps::require_supported_size(dwarf, a.cli);
     const std::size_t n = std::stoul(apps::flag_value(
         a.benchmark_args, "-s",
         std::to_string(dwarfs::Lud::dim_for(

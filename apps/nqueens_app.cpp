@@ -8,6 +8,7 @@ int main(int argc, const char** argv) {
   try {
     const apps::SplitArgs a = apps::split_args(argc, argv);
     dwarfs::Nqueens dwarf;
+    apps::require_supported_size(dwarf, a.cli);
     const auto board = static_cast<unsigned>(std::stoul(
         apps::arg_or(a.benchmark_args, 0,
                      std::to_string(dwarfs::Nqueens::kBoard))));

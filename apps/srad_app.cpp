@@ -10,6 +10,7 @@ int main(int argc, const char** argv) {
   try {
     const apps::SplitArgs a = apps::split_args(argc, argv);
     dwarfs::Srad dwarf;
+    apps::require_supported_size(dwarf, a.cli);
     const auto preset = dwarfs::Srad::extent_for(
         a.cli.size.value_or(dwarfs::ProblemSize::kTiny));
     dwarfs::Srad::Params p;

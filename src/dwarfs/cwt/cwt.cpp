@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "xcl/kernel.hpp"
+#include "xcl/thread_pool.hpp"
 
 namespace eod::dwarfs {
 
@@ -159,28 +160,45 @@ void Cwt::finish() {
 }
 
 Validation Cwt::validate() {
-  std::vector<float> want(magnitude_.size());
-  for (unsigned j = 0; j < scales_; ++j) {
-    const double s = scale_of(j);
-    const auto radius = static_cast<std::ptrdiff_t>(kSupport * s);
-    for (std::size_t b = 0; b < n_; ++b) {
-      double re = 0.0;
-      double im = 0.0;
-      const auto bb = static_cast<std::ptrdiff_t>(b);
-      const auto nn = static_cast<std::ptrdiff_t>(n_);
-      for (std::ptrdiff_t t = std::max<std::ptrdiff_t>(0, bb - radius);
-           t <= std::min(nn - 1, bb + radius); ++t) {
-        const double u = static_cast<double>(t - bb) / s;
-        const double g = std::exp(-0.5 * u * u);
-        re += signal_[static_cast<std::size_t>(t)] * g *
-              std::cos(kOmega0 * u);
-        im -= signal_[static_cast<std::size_t>(t)] * g *
-              std::sin(kOmega0 * u);
-      }
-      want[std::size_t{j} * n_ + b] = static_cast<float>(
-          std::sqrt(re * re + im * im) / std::sqrt(s));
+  // A tap's Gaussian and phase depend only on its scale and offset t - b,
+  // so each scale tabulates them once from the same expressions (the same
+  // bits).  The (scale, translation) coefficients then run on the pool, each
+  // summing its taps in t order.
+  struct Taps {
+    std::ptrdiff_t radius = 0;
+    std::vector<double> g, cos, sin;  // indexed by t - b + radius
+  };
+  xcl::ThreadPool& pool = xcl::ThreadPool::global();
+  std::vector<Taps> taps(scales_);
+  pool.parallel_for(scales_, [&](std::size_t j) {
+    const double s = scale_of(static_cast<unsigned>(j));
+    Taps& k = taps[j];
+    k.radius = static_cast<std::ptrdiff_t>(kSupport * s);
+    for (std::ptrdiff_t d = -k.radius; d <= k.radius; ++d) {
+      const double u = static_cast<double>(d) / s;
+      k.g.push_back(std::exp(-0.5 * u * u));
+      k.cos.push_back(std::cos(kOmega0 * u));
+      k.sin.push_back(std::sin(kOmega0 * u));
     }
-  }
+  });
+  std::vector<float> want(magnitude_.size());
+  pool.parallel_for(want.size(), [&](std::size_t idx) {
+    const unsigned j = static_cast<unsigned>(idx / n_);
+    const Taps& k = taps[j];
+    const auto bb = static_cast<std::ptrdiff_t>(idx % n_);
+    const auto nn = static_cast<std::ptrdiff_t>(n_);
+    double re = 0.0;
+    double im = 0.0;
+    for (std::ptrdiff_t t = std::max<std::ptrdiff_t>(0, bb - k.radius);
+         t <= std::min(nn - 1, bb + k.radius); ++t) {
+      const auto d = static_cast<std::size_t>(t - bb + k.radius);
+      const double x = signal_[static_cast<std::size_t>(t)];
+      re += x * k.g[d] * k.cos[d];
+      im -= x * k.g[d] * k.sin[d];
+    }
+    want[idx] = static_cast<float>(std::sqrt(re * re + im * im) /
+                                   std::sqrt(scale_of(j)));
+  });
   return validate_norm(magnitude_, want, 1e-4, "cwt Morlet magnitudes");
 }
 

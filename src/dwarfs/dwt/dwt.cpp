@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "xcl/kernel.hpp"
+#include "xcl/thread_pool.hpp"
 
 namespace eod::dwarfs {
 
@@ -44,10 +45,13 @@ void Dwt::configure(Extent extent, unsigned levels) {
   if (extent_.width != full.width || extent_.height != full.height) {
     leaf = box_resize(leaf, extent_.width, extent_.height);
   }
-  input_.resize(extent_.width * extent_.height);
-  for (std::size_t i = 0; i < input_.size(); ++i) {
-    input_[i] = static_cast<float>(leaf.pixels[i]);
-  }
+  const std::size_t width = extent_.width;
+  input_.resize(width * extent_.height);
+  xcl::ThreadPool::global().parallel_for(extent_.height, [&](std::size_t y) {
+    for (std::size_t i = y * width; i < (y + 1) * width; ++i) {
+      input_[i] = static_cast<float>(leaf.pixels[i]);
+    }
+  });
   output_.assign(input_.size(), 0.0f);
 }
 
@@ -236,12 +240,17 @@ std::size_t Dwt::trace_size_hint() const {
 
 void Dwt::reference_dwt53(std::vector<double>& data, std::size_t width,
                           std::size_t height, unsigned levels) {
+  // Every pass is row-major and parallel over rows: the vertical lifting
+  // steps walk i outermost with the columns streaming inside, and each
+  // sub-pass only reads rows the one before it wrote, so every coefficient
+  // sees the same operands in the same order as a column-at-a-time walk.
+  xcl::ThreadPool& pool = xcl::ThreadPool::global();
   std::vector<double> temp(data.size());
   std::size_t lw = width;
   std::size_t lh = height;
   for (unsigned level = 0; level < levels && lw >= 2 && lh >= 2; ++level) {
-    // Horizontal.
-    for (std::size_t r = 0; r < lh; ++r) {
+    // Horizontal: data -> temp, one row per iteration.
+    pool.parallel_for(lh, [&](std::size_t r) {
       const double* in = &data[r * width];
       double* out = &temp[r * width];
       const std::size_t n = lw;
@@ -256,27 +265,33 @@ void Dwt::reference_dwt53(std::vector<double>& data, std::size_t width,
         const std::size_t dr = i < nd ? i : nd - 1;
         out[i] = in[2 * i] + 0.25 * (out[ns + dl] + out[ns + dr]);
       }
-    }
-    // Vertical.
-    for (std::size_t c = 0; c < lw; ++c) {
-      const std::size_t n = lh;
-      const std::size_t ns = (n + 1) / 2;
-      const std::size_t nd = n / 2;
-      for (std::size_t i = 0; i < nd; ++i) {
-        const std::size_t rr = (2 * i + 2 <= n - 1) ? 2 * i + 2 : n - 2;
-        data[(ns + i) * width + c] =
-            temp[(2 * i + 1) * width + c] -
-            0.5 * (temp[2 * i * width + c] + temp[rr * width + c]);
+    });
+    // Vertical: temp -> data.  Predict writes the detail rows [ns, lh),
+    // then update writes the smooth rows [0, ns) from them.
+    const std::size_t n = lh;
+    const std::size_t ns = (n + 1) / 2;
+    const std::size_t nd = n / 2;
+    pool.parallel_for(nd, [&](std::size_t i) {
+      const std::size_t rr = (2 * i + 2 <= n - 1) ? 2 * i + 2 : n - 2;
+      double* out = &data[(ns + i) * width];
+      const double* odd = &temp[(2 * i + 1) * width];
+      const double* even = &temp[2 * i * width];
+      const double* next = &temp[rr * width];
+      for (std::size_t c = 0; c < lw; ++c) {
+        out[c] = odd[c] - 0.5 * (even[c] + next[c]);
       }
-      for (std::size_t i = 0; i < ns; ++i) {
-        const std::size_t dl = i == 0 ? 0 : i - 1;
-        const std::size_t dr = i < nd ? i : nd - 1;
-        data[i * width + c] =
-            temp[2 * i * width + c] +
-            0.25 * (data[(ns + dl) * width + c] +
-                    data[(ns + dr) * width + c]);
+    });
+    pool.parallel_for(ns, [&](std::size_t i) {
+      const std::size_t dl = i == 0 ? 0 : i - 1;
+      const std::size_t dr = i < nd ? i : nd - 1;
+      double* out = &data[i * width];
+      const double* even = &temp[2 * i * width];
+      const double* left = &data[(ns + dl) * width];
+      const double* right = &data[(ns + dr) * width];
+      for (std::size_t c = 0; c < lw; ++c) {
+        out[c] = even[c] + 0.25 * (left[c] + right[c]);
       }
-    }
+    });
     lw = (lw + 1) / 2;
     lh = (lh + 1) / 2;
   }

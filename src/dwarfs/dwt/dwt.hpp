@@ -53,7 +53,8 @@ class Dwt final : public Dwarf {
   [[nodiscard]] Validation validate() override;
   void unbind() override;
 
-  /// Serial reference: one full forward transform in double precision.
+  /// Reference: one full forward transform in double precision, rows on
+  /// the shared pool, bit-identical to a serial walk.
   static void reference_dwt53(std::vector<double>& data, std::size_t width,
                               std::size_t height, unsigned levels);
   /// Serial inverse (used by tests for the perfect-reconstruction

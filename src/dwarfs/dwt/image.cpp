@@ -6,6 +6,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "xcl/thread_pool.hpp"
+
 namespace eod::dwarfs {
 
 GrayImage generate_leaf_image(std::size_t width, std::size_t height) {
@@ -16,26 +18,35 @@ GrayImage generate_leaf_image(std::size_t width, std::size_t height) {
 
   const double w = static_cast<double>(width);
   const double h = static_cast<double>(height);
-  for (std::size_t y = 0; y < height; ++y) {
+  // The leaf's shape terms depend only on the column: tabulate them once
+  // per column (the same expressions, so the same bits), then render the
+  // rows in parallel.
+  struct Column {
+    double u;      // normalised coordinate in [-1, 1], leaf axis horizontal
+    double blade;  // half-width of the leaf blade at u
+    double vein;   // lateral-vein phase at u, before the |v| taper
+  };
+  std::vector<Column> cols(width);
+  for (std::size_t x = 0; x < width; ++x) {
+    const double u = 2.0 * (static_cast<double>(x) + 0.5) / w - 1.0;
+    cols[x].u = u;
+    // Lens shape |v| < blade(u) with a serrated margin.
+    cols[x].blade = 0.62 * std::sqrt(std::max(0.0, 1.0 - u * u)) *
+                    (1.0 + 0.12 * std::sin(9.0 * M_PI * u));
+    cols[x].vein = std::sin(14.0 * (u + 1.0) * M_PI) * 0.5;
+  }
+  xcl::ThreadPool::global().parallel_for(height, [&](std::size_t y) {
+    const double v = 2.0 * (static_cast<double>(y) + 0.5) / h - 1.0;
     for (std::size_t x = 0; x < width; ++x) {
-      // Normalised coordinates in [-1, 1] with the leaf axis horizontal.
-      const double u = 2.0 * (static_cast<double>(x) + 0.5) / w - 1.0;
-      const double v = 2.0 * (static_cast<double>(y) + 0.5) / h - 1.0;
-
+      const Column& c = cols[x];
       // Background: soft diagonal gradient.
-      double val = 190.0 + 30.0 * (u + v) * 0.5;
-
-      // Leaf blade: lens shape |v| < blade(u).
-      const double blade =
-          0.62 * std::sqrt(std::max(0.0, 1.0 - u * u)) *
-          (1.0 + 0.12 * std::sin(9.0 * M_PI * u));  // serrated margin
-      if (std::abs(v) < blade) {
-        val = 95.0 + 40.0 * std::abs(v) / (blade + 1e-9);
+      double val = 190.0 + 30.0 * (c.u + v) * 0.5;
+      if (std::abs(v) < c.blade) {
+        val = 95.0 + 40.0 * std::abs(v) / (c.blade + 1e-9);
         // Midrib.
         if (std::abs(v) < 0.02) val = 60.0;
         // Lateral veins at regular angles off the midrib.
-        const double vein = std::abs(
-            std::sin(14.0 * (u + 1.0) * M_PI) * 0.5 * (1.0 - std::abs(v)));
+        const double vein = std::abs(c.vein * (1.0 - std::abs(v)));
         if (vein > 0.46 && std::abs(v) > 0.02) val -= 25.0;
       }
       // Deterministic fine texture (hash noise).
@@ -46,7 +57,7 @@ GrayImage generate_leaf_image(std::size_t width, std::size_t height) {
       img.pixels[y * width + x] =
           static_cast<std::uint8_t>(std::clamp(val, 0.0, 255.0));
     }
-  }
+  });
   return img;
 }
 
@@ -61,7 +72,7 @@ GrayImage box_resize(const GrayImage& src, std::size_t width,
   dst.pixels.resize(width * height);
   const double sx = static_cast<double>(src.width) / width;
   const double sy = static_cast<double>(src.height) / height;
-  for (std::size_t y = 0; y < height; ++y) {
+  xcl::ThreadPool::global().parallel_for(height, [&](std::size_t y) {
     const auto y0 = static_cast<std::size_t>(y * sy);
     const auto y1 = std::max<std::size_t>(
         y0 + 1, std::min(src.height, static_cast<std::size_t>(
@@ -82,7 +93,7 @@ GrayImage box_resize(const GrayImage& src, std::size_t width,
       dst.pixels[y * width + x] = static_cast<std::uint8_t>(
           std::clamp(acc / std::max<std::size_t>(1, count), 0.0, 255.0));
     }
-  }
+  });
   return dst;
 }
 

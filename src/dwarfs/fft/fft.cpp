@@ -1,8 +1,10 @@
 #include "dwarfs/fft/fft.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "xcl/kernel.hpp"
+#include "xcl/thread_pool.hpp"
 
 namespace eod::dwarfs {
 
@@ -138,19 +140,37 @@ void Fft::reference_fft(std::vector<std::complex<double>>& a) {
     j ^= bit;
     if (i < j) std::swap(a[i], a[j]);
   }
+  // Each stage's twiddles come from the same w *= wl recurrence every
+  // block restarts from 1, so the stage's n/2 butterflies are independent
+  // and bit-identical to a block-by-block walk; they run on the pool in
+  // contiguous chunks.
+  constexpr std::size_t kChunk = 2048;
+  const std::size_t butterflies = n / 2;
+  std::vector<std::complex<double>> twiddle;
   for (std::size_t len = 2; len <= n; len <<= 1) {
+    const std::size_t half = len / 2;
     const double ang = -2.0 * M_PI / static_cast<double>(len);
     const std::complex<double> wl(std::cos(ang), std::sin(ang));
-    for (std::size_t i = 0; i < n; i += len) {
-      std::complex<double> w(1.0, 0.0);
-      for (std::size_t j = 0; j < len / 2; ++j) {
-        const std::complex<double> u = a[i + j];
-        const std::complex<double> v = a[i + j + len / 2] * w;
-        a[i + j] = u + v;
-        a[i + j + len / 2] = u - v;
-        w *= wl;
-      }
+    twiddle.resize(half);
+    std::complex<double> w(1.0, 0.0);
+    for (std::size_t j = 0; j < half; ++j) {
+      twiddle[j] = w;
+      w *= wl;
     }
+    xcl::ThreadPool::global().parallel_for(
+        (butterflies + kChunk - 1) / kChunk, [&](std::size_t chunk) {
+          const std::size_t end = std::min(butterflies, (chunk + 1) * kChunk);
+          for (std::size_t b = chunk * kChunk; b < end; ++b) {
+            // Butterfly b is j = b mod half of block b / half (n and len
+            // are powers of two).
+            const std::size_t j = b & (half - 1);
+            const std::size_t top = 2 * b - j;
+            const std::complex<double> u = a[top];
+            const std::complex<double> v = a[top + half] * twiddle[j];
+            a[top] = u + v;
+            a[top + half] = u - v;
+          }
+        });
   }
 }
 

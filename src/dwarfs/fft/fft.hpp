@@ -55,7 +55,8 @@ class Fft final : public Dwarf {
   [[nodiscard]] Validation validate() override;
   void unbind() override;
 
-  /// Double-precision serial reference (iterative Cooley-Tukey).
+  /// Double-precision reference (iterative Cooley-Tukey); each stage's
+  /// butterflies run on the shared pool, bit-identical to a serial walk.
   static void reference_fft(std::vector<std::complex<double>>& data);
   /// Serial inverse (conjugate + forward + conjugate + 1/N).
   static void reference_ifft(std::vector<std::complex<double>>& data);

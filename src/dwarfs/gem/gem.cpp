@@ -8,6 +8,7 @@
 
 #include "xcl/kernel.hpp"
 #include "xcl/simd.hpp"
+#include "xcl/thread_pool.hpp"
 
 namespace eod::dwarfs {
 
@@ -358,7 +359,8 @@ Validation Gem::validate() {
   const std::size_t a = mol_.atoms();
   const std::size_t v = vx_.size();
   std::vector<float> want(v, 0.0f);
-  for (std::size_t i = 0; i < v; ++i) {
+  // One vertex per pool iteration; each sums its atoms in order.
+  xcl::ThreadPool::global().parallel_for(v, [&](std::size_t i) {
     double acc = 0.0;
     for (std::size_t k = 0; k < a; ++k) {
       const double dx = static_cast<double>(vx_[i]) - mol_.x[k];
@@ -367,7 +369,7 @@ Validation Gem::validate() {
       acc += mol_.q[k] / std::sqrt(dx * dx + dy * dy + dz * dz + 1e-6);
     }
     want[i] = static_cast<float>(acc);
-  }
+  });
   return validate_norm(potential_, want, 1e-3, "gem surface potential");
 }
 

@@ -6,6 +6,7 @@
 
 #include "xcl/kernel.hpp"
 #include "xcl/simd.hpp"
+#include "xcl/thread_pool.hpp"
 
 namespace eod::dwarfs {
 
@@ -274,7 +275,7 @@ void KMeans::finish() {
 }
 
 Validation KMeans::validate() {
-  // Serial reference: identical fixed-round Lloyd iterations from the same
+  // Reference: identical fixed-round Lloyd iterations from the same
   // deterministic start.
   const unsigned fn = params_.features;
   const unsigned cn = params_.clusters;
@@ -283,7 +284,9 @@ Validation KMeans::validate() {
   std::vector<std::int32_t> ref_member(params_.points, -1);
 
   for (unsigned round = 0; round < params_.rounds; ++round) {
-    for (std::size_t i = 0; i < params_.points; ++i) {
+    // Assignment is independent per point; the centroid update below stays
+    // a serial sum in point order.
+    xcl::ThreadPool::global().parallel_for(params_.points, [&](std::size_t i) {
       float best = HUGE_VALF;
       std::int32_t best_c = 0;
       for (unsigned c = 0; c < cn; ++c) {
@@ -299,7 +302,7 @@ Validation KMeans::validate() {
         }
       }
       ref_member[i] = best_c;
-    }
+    });
     std::vector<double> sums(std::size_t{cn} * fn, 0.0);
     std::vector<std::size_t> counts(cn, 0);
     for (std::size_t i = 0; i < params_.points; ++i) {

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "xcl/kernel.hpp"
+#include "xcl/thread_pool.hpp"
 
 namespace eod::dwarfs {
 
@@ -299,20 +300,22 @@ void Lud::finish() {
 
 Validation Lud::validate() {
   // Reconstruct L*U from the packed factor and compare with the original
-  // matrix (norm comparison, §4.4.2).
+  // matrix (norm comparison, §4.4.2).  Rows run in parallel; each row
+  // streams U's rows in i-t-j order, so every (i, j) still sums t = 0 ..
+  // min(i, j) ascending in its own double accumulator.
   const std::size_t n = n_;
   std::vector<float> recon(n * n, 0.0f);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      double acc = 0.0;
-      const std::size_t kmax = std::min(i, j);
-      for (std::size_t t = 0; t <= kmax; ++t) {
-        const double l = (t == i) ? 1.0 : result_[i * n + t];
-        acc += l * result_[t * n + j];
-      }
-      recon[i * n + j] = static_cast<float>(acc);
+  xcl::ThreadPool::global().parallel_for(n, [&](std::size_t i) {
+    std::vector<double> acc(n, 0.0);
+    for (std::size_t t = 0; t <= i; ++t) {
+      const double l = (t == i) ? 1.0 : result_[i * n + t];
+      const float* u = &result_[t * n];
+      for (std::size_t j = t; j < n; ++j) acc[j] += l * u[j];
     }
-  }
+    for (std::size_t j = 0; j < n; ++j) {
+      recon[i * n + j] = static_cast<float>(acc[j]);
+    }
+  });
   return validate_norm(recon, input_, 1e-4, "lud L*U reconstruction");
 }
 

@@ -152,18 +152,24 @@ void ThreadPool::run_span(Slot& self,
 }
 
 void ThreadPool::participate(unsigned slot, std::uint64_t launch_epoch) {
-  active_.fetch_add(1, std::memory_order_seq_cst);
-  // Check in via active_, then verify the epoch we woke for is still the
-  // live one.  The acquire load synchronizes with the caller's epoch bump,
-  // so a matching epoch guarantees base_/grain_/ranges all belong to the
-  // launch we are about to serve; a stale epoch means that launch already
-  // drained (the caller only advances after active_ empties), so there is
-  // nothing left for us to do.
-  const auto* body =
-      epoch_.load(std::memory_order_acquire) == launch_epoch
-          ? body_.load(std::memory_order_acquire)
-          : nullptr;
-  if (body != nullptr) {
+  // Check in under done_mutex_, the mutex under which the caller retires a
+  // launch (sees it drained, then clears body_).  A participant therefore
+  // either checks in before the launch drains, and the caller waits for it,
+  // or finds the launch retired (null body) or superseded (new epoch) and
+  // leaves: a late waker can never carry a retired body into the next
+  // launch's ranges.  The acquire load synchronizes with the caller's epoch
+  // bump, so a matching epoch guarantees base_/grain_/ranges all belong to
+  // the launch we are about to serve.
+  const std::function<void(std::size_t)>* body = nullptr;
+  {
+    std::scoped_lock lock(done_mutex_);
+    if (epoch_.load(std::memory_order_acquire) == launch_epoch) {
+      body = body_.load(std::memory_order_acquire);
+    }
+    if (body == nullptr) return;
+    active_.fetch_add(1, std::memory_order_acq_rel);
+  }
+  {
     const ThreadPool* prev = tl_active_pool;
     tl_active_pool = this;
     std::uint64_t tasks = 0, claims = 0, steals = 0;
@@ -282,8 +288,10 @@ void ThreadPool::run_one_slice(std::size_t n,
       return remaining_.load(std::memory_order_acquire) == 0 &&
              active_.load(std::memory_order_acquire) == 0;
     });
+    // Retire the launch in the same critical section that saw it drain, so
+    // no participant can check in between (see participate()).
+    body_.store(nullptr, std::memory_order_release);
   }
-  body_.store(nullptr, std::memory_order_release);
 
   std::exception_ptr lowest;
   std::size_t lowest_index = std::numeric_limits<std::size_t>::max();

@@ -98,7 +98,7 @@ class ThreadPool {
   std::mutex launch_mutex_;  // serializes top-level launches
   std::mutex wake_mutex_;
   std::condition_variable wake_cv_;
-  std::mutex done_mutex_;
+  std::mutex done_mutex_;  // participant check-in/out, launch retirement
   std::condition_variable done_cv_;
 
   mutable std::atomic<std::uint64_t> stat_launches_{0};

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "../apps/app_common.hpp"
+#include "dwarfs/hmm/hmm.hpp"
 #include "dwarfs/kmeans/kmeans.hpp"
 
 namespace eod::apps {
@@ -61,6 +62,27 @@ TEST(RunConfigured, ExecutesAndValidates) {
   EXPECT_EQ(rc, 0);
   EXPECT_NE(out.find("validation: PASS"), std::string::npos);
   EXPECT_NE(out.find("kmeans_assign"), std::string::npos);
+}
+
+TEST(RequireSupportedSize, RejectsUnsupportedSizeNamingSupportedOnes) {
+  // hmm validates only at tiny: any other --size must be refused before
+  // setup, not at enqueue time as an invalid work-group size.
+  dwarfs::Hmm hmm;
+  harness::CliOptions cli;
+  cli.size = dwarfs::ProblemSize::kSmall;
+  try {
+    require_supported_size(hmm, cli);
+    FAIL() << "hmm accepted --size small";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(),
+                 "hmm does not support --size small; supported: tiny");
+  }
+  cli.size = dwarfs::ProblemSize::kTiny;
+  EXPECT_NO_THROW(require_supported_size(hmm, cli));
+  cli.size.reset();  // no --size: the app's own arguments decide
+  EXPECT_NO_THROW(require_supported_size(hmm, cli));
+  cli.size = dwarfs::ProblemSize::kLarge;
+  EXPECT_NO_THROW(require_supported_size(dwarfs::KMeans(), cli));
 }
 
 }  // namespace

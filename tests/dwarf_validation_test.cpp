@@ -5,6 +5,9 @@
 // reference through the full xcl pipeline.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
+
 #include "dwarfs/kmeans/kmeans.hpp"
 #include "dwarfs/registry.hpp"
 #include "harness/problem_size.hpp"
@@ -80,8 +83,105 @@ TEST_P(AllDwarfs, RunIsRepeatableAfterRebind) {
   }
 }
 
+TEST_P(AllDwarfs, FailsValidationWithoutRun) {
+  // finish() reads back whatever bind() left in the output buffers; a
+  // reference that silently writes nothing (or compares nothing) would
+  // still pass here.
+  auto d = create_dwarf(GetParam());
+  d->setup(d->supported_sizes().front());
+  xcl::Context ctx(host_device());
+  xcl::Queue q(ctx);
+  d->bind(ctx, q);
+  d->finish();
+  const Validation v = d->validate();
+  EXPECT_FALSE(v.ok) << GetParam() << ": " << v.detail;
+  d->unbind();
+}
+
+// Exact validate() error (as a %a hex-float) and result_signature() per
+// dwarf at tiny and small.  The serial references run on the shared pool
+// with every output element keeping its own arithmetic and summation order,
+// so these bits are the ones the plain serial loops produced; a reordered
+// sum, a skipped element or a changed generated input moves them.
+struct ReferencePin {
+  const char* dwarf;
+  ProblemSize size;
+  const char* error;
+  std::uint64_t signature;
+};
+
+constexpr ReferencePin kReferencePins[] = {
+    {"kmeans", ProblemSize::kTiny, "0x0p+0", 0xed78cc8f33124fc4ull},
+    {"kmeans", ProblemSize::kSmall, "0x0p+0", 0x2d4fe965f7ee0577ull},
+    {"lud", ProblemSize::kTiny, "0x1.74422c61cdddbp-24", 0xef7ad8f3c60245e9ull},
+    {"lud", ProblemSize::kSmall, "0x1.3e9cc4b8746f3p-24",
+      0xa254290adfc4bdd3ull},
+    {"csr", ProblemSize::kTiny, "0x1.9d13555a6dda6p-25", 0x695d13b627107fc4ull},
+    {"csr", ProblemSize::kSmall, "0x1.44d75735d0196p-24",
+      0x6aa72a271dff8d36ull},
+    {"fft", ProblemSize::kTiny, "0x1.1488170fdbc62p-22", 0x0ull},
+    {"fft", ProblemSize::kSmall, "0x1.5ecb7239cd83fp-22", 0x0ull},
+    {"dwt", ProblemSize::kTiny, "0x0p+0", 0x38bdd0d8c0168f6bull},
+    {"dwt", ProblemSize::kSmall, "0x0p+0", 0x5d3f5ae2a7e4948aull},
+    {"srad", ProblemSize::kTiny, "0x0p+0", 0xeb4f3fe0bee8c919ull},
+    {"srad", ProblemSize::kSmall, "0x0p+0", 0x1f8936c34ce585d9ull},
+    {"crc", ProblemSize::kTiny, "0x0p+0", 0xf0b1f20bebf898eull},
+    {"crc", ProblemSize::kSmall, "0x0p+0", 0x80eab3b2758b92dbull},
+    {"nw", ProblemSize::kTiny, "0x0p+0", 0x11749ee9f534398dull},
+    {"nw", ProblemSize::kSmall, "0x0p+0", 0x184b54d261973be3ull},
+    {"gem", ProblemSize::kTiny, "0x1.4b53ff968b65ap-21", 0x9cd8b001bd9eb1fcull},
+    {"gem", ProblemSize::kSmall, "0x1.d119c9587f3ap-20", 0xd34d8ec427e02380ull},
+    {"nqueens", ProblemSize::kTiny, "0x0p+0", 0x0ull},
+    {"hmm", ProblemSize::kTiny, "0x1.2627b35f35528p-21", 0x0ull},
+    {"cwt", ProblemSize::kTiny, "0x1.d800ebaa43527p-23", 0x35cc39bef42a0f1ull},
+    {"cwt", ProblemSize::kSmall, "0x1.1ae06c329f185p-22",
+      0x1286f25bc922a97full},
+};
+
+TEST_P(AllDwarfs, ValidationErrorAndSignatureMatchPins) {
+  for (const ProblemSize size : {ProblemSize::kTiny, ProblemSize::kSmall}) {
+    auto d = create_dwarf(GetParam());
+    const auto sizes = d->supported_sizes();
+    if (std::find(sizes.begin(), sizes.end(), size) == sizes.end()) continue;
+    d->setup(size);
+    xcl::Context ctx(host_device());
+    xcl::Queue q(ctx);
+    d->bind(ctx, q);
+    d->run();
+    d->finish();
+    const Validation v = d->validate();
+    char error[64];
+    std::snprintf(error, sizeof(error), "%a", v.error);
+    const std::uint64_t signature = d->result_signature();
+    d->unbind();
+    const auto pin = std::find_if(
+        std::begin(kReferencePins), std::end(kReferencePins),
+        [&](const ReferencePin& p) {
+          return p.dwarf == GetParam() && p.size == size;
+        });
+    if (pin == std::end(kReferencePins)) {
+      ADD_FAILURE() << "no pin for {\"" << GetParam() << "\", ProblemSize::k"
+                    << (size == ProblemSize::kTiny ? "Tiny" : "Small")
+                    << ", \"" << error << "\", 0x" << std::hex << signature
+                    << "ull},";
+      continue;
+    }
+    EXPECT_STREQ(error, pin->error) << GetParam() << ' ' << to_string(size);
+    EXPECT_EQ(signature, pin->signature)
+        << GetParam() << ' ' << to_string(size);
+  }
+}
+
+// The Table 2 dwarfs plus cwt, the extension whose serial reference is as
+// heavy as gem's.
+std::vector<std::string> validated_dwarfs() {
+  std::vector<std::string> names = benchmark_names();
+  names.emplace_back("cwt");
+  return names;
+}
+
 INSTANTIATE_TEST_SUITE_P(Suite, AllDwarfs,
-                         ::testing::ValuesIn(benchmark_names()),
+                         ::testing::ValuesIn(validated_dwarfs()),
                          [](const auto& ti) { return ti.param; });
 
 // ---- §4.4 size-class bounds on the Skylake hierarchy ----

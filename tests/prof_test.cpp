@@ -53,7 +53,8 @@ std::string fixture_trace(const std::vector<Cmd>& cmds) {
     char buf[512];
     std::string deps;
     for (std::size_t i = 0; i < c.deps.size(); ++i) {
-      deps += (i != 0 ? "," : "") + std::to_string(c.deps[i]);
+      if (i != 0) deps += ',';
+      deps += std::to_string(c.deps[i]);
     }
     std::snprintf(
         buf, sizeof(buf),

@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -99,6 +100,13 @@ struct SimdCase {
   const char* name;
   std::vector<ProblemSize> sizes;
 };
+
+// Print a case by its dwarf name: gtest's default byte dump would put the
+// name pointer and vector storage -- addresses that change with every
+// build and process under ASLR -- into the listed test names.
+void PrintTo(const SimdCase& c, std::ostream* os) {
+  *os << '"' << c.name << '"';
+}
 
 // gem is O(vertices x atoms); its medium functional pass runs for minutes,
 // so -- like span_tier_test -- its cells stop at small.  Every size still

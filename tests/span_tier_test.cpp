@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <ostream>
 #include <vector>
 
 #include "dwarfs/common.hpp"
@@ -91,6 +92,13 @@ struct SpanCase {
   const char* name;
   std::vector<ProblemSize> sizes;
 };
+
+// Print a case by its dwarf name: gtest's default byte dump would put the
+// name pointer and vector storage -- addresses that change with every
+// build and process under ASLR -- into the listed test names.
+void PrintTo(const SpanCase& c, std::ostream* os) {
+  *os << '"' << c.name << '"';
+}
 
 // gem (O(vertices x atoms)) and cwt (O(N x S x support)) grow
 // superlinearly; their medium/large functional passes run for minutes, so

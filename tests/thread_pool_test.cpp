@@ -139,6 +139,20 @@ TEST(WorkStealingPool, ConcurrentLaunchesFromTwoThreadsSerialize) {
   EXPECT_EQ(total.load(), 2 * 20 * 100);
 }
 
+TEST(WorkStealingPool, BackToBackLaunchesNeverRunARetiredBody) {
+  // A worker that wakes late for a launch that has already drained must not
+  // carry that launch's body into the next launch's ranges.  Short launches
+  // issued back to back (as a host reference's passes are) open that window
+  // on every launch.
+  ThreadPool pool(4);
+  for (int launch = 0; launch < 50000; ++launch) {
+    const std::size_t n = 2 + launch % 7;
+    std::vector<std::atomic<int>> hits(n);
+    pool.parallel_for(n, [&hits](std::size_t i) { hits[i]++; });
+    for (const auto& h : hits) ASSERT_EQ(h.load(), 1) << "launch " << launch;
+  }
+}
+
 // A barrier kernel whose result depends on cross-item __local traffic: each
 // item publishes into local memory, synchronizes, then combines a peer's
 // value.  Any scheduling- or arena-reuse bug shows up as a wrong lane.
