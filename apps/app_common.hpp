@@ -248,6 +248,9 @@ inline int report_partitioned(const dwarfs::Dwarf& dwarf,
     man.validated = true;
     man.validation_ok = r.validation.ok;
     man.trace_path = trace_path;
+    if (!trace_path.empty()) {
+      man.trace_events_dropped = obs::trace_events_dropped();
+    }
     man.metrics_path = metrics_path;
     man.profile_path = profile_path;
     const std::string manifest_path =

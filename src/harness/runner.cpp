@@ -313,6 +313,9 @@ Measurement measure(dwarfs::Dwarf& dwarf, dwarfs::ProblemSize size,
       manifest.validated = m.validated;
       manifest.validation_ok = m.validation.ok;
       manifest.trace_path = m.trace_path;
+      if (want_trace) {
+        manifest.trace_events_dropped = obs::trace_events_dropped();
+      }
       manifest.metrics_path = m.metrics_path;
       manifest.profile_path = m.profile_path;
       m.manifest_path = obs::unique_artifact_path(options.manifest_path);
@@ -324,19 +327,18 @@ Measurement measure(dwarfs::Dwarf& dwarf, dwarfs::ProblemSize size,
   return m;
 }
 
-std::vector<Measurement> measure_all_devices(const std::string& benchmark,
+std::vector<Measurement> measure_all_devices(dwarfs::Dwarf& dwarf,
                                              dwarfs::ProblemSize size,
                                              const MeasureOptions& options) {
   std::vector<Measurement> out;
-  auto dwarf = dwarfs::create_dwarf(benchmark);
   MeasureOptions per_device = options;
   if (options.collect_counters) {
     // Warm the replay memo for every hierarchy in one streamed fan-out:
     // the trace is generated twice (cold + warm pass) for all 15 devices
     // together instead of twice per device.
-    dwarf->setup(size);
+    dwarf.setup(size);
     per_device.reuse_setup = true;
-    const std::size_t hint = dwarf->trace_size_hint();
+    const std::size_t hint = dwarf.trace_size_hint();
     if (hint > 0 && (options.max_trace_accesses == 0 ||
                      hint <= options.max_trace_accesses)) {
       std::vector<const sim::DeviceSpec*> specs;
@@ -344,12 +346,12 @@ std::vector<Measurement> measure_all_devices(const std::string& benchmark,
         specs.push_back(&sim::spec_by_name(dev->name()));
       }
       (void)sim::prime_replay_memo(
-          [&dwarf](sim::TraceWriter& w) { dwarf->stream_trace(w); }, specs,
-          benchmark + "/" + dwarfs::to_string(size));
+          [&dwarf](sim::TraceWriter& w) { dwarf.stream_trace(w); }, specs,
+          dwarf.name() + "/" + dwarfs::to_string(size));
     }
   }
   for (xcl::Device* dev : sim::testbed_devices()) {
-    out.push_back(measure(*dwarf, size, *dev, per_device));
+    out.push_back(measure(dwarf, size, *dev, per_device));
     // One functional (optionally validated) pass over one generated
     // dataset is enough: results are device-independent, so later devices
     // run model-only, as if the same verified binary were shipped around
@@ -359,6 +361,13 @@ std::vector<Measurement> measure_all_devices(const std::string& benchmark,
     per_device.reuse_setup = true;
   }
   return out;
+}
+
+std::vector<Measurement> measure_all_devices(const std::string& benchmark,
+                                             dwarfs::ProblemSize size,
+                                             const MeasureOptions& options) {
+  const std::unique_ptr<dwarfs::Dwarf> dwarf = dwarfs::create_dwarf(benchmark);
+  return measure_all_devices(*dwarf, size, options);
 }
 
 }  // namespace eod::harness

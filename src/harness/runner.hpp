@@ -147,7 +147,12 @@ struct Measurement {
 
 /// Convenience sweep over every testbed device (Table 1 order).  Devices
 /// are measured model-only after a single functional pass, exactly like
-/// moving one binary across the cluster.
+/// moving one binary across the cluster.  Model-only passes move no bytes,
+/// so `dwarf`'s host results after the sweep are the functional pass's.
+[[nodiscard]] std::vector<Measurement> measure_all_devices(
+    dwarfs::Dwarf& dwarf, dwarfs::ProblemSize size,
+    const MeasureOptions& options = {});
+/// The same sweep over a freshly created `benchmark` dwarf.
 [[nodiscard]] std::vector<Measurement> measure_all_devices(
     const std::string& benchmark, dwarfs::ProblemSize size,
     const MeasureOptions& options = {});

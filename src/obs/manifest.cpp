@@ -107,6 +107,8 @@ std::string RunManifest::to_json(const MetricsSnapshot& metrics) const {
   out += "  \"trace_path\": " + str(trace_path) + ",\n";
   out += "  \"metrics_path\": " + str(metrics_path) + ",\n";
   out += "  \"profile_path\": " + str(profile_path) + ",\n";
+  out += "  \"trace_events_dropped\": " +
+         std::to_string(trace_events_dropped) + ",\n";
   // Embed the metrics snapshot body ({"metrics":{...}}) inline so one file
   // fully describes the run even when no separate --metrics file exists.
   std::string snap = metrics.to_json();

@@ -50,6 +50,10 @@ struct RunManifest {
   std::string trace_path;
   std::string metrics_path;
   std::string profile_path;  ///< eod_prof report written by --profile
+  /// Trace events the per-thread rings overwrote before trace_path was
+  /// written (obs::trace_events_dropped()); nonzero means the trace is
+  /// missing its oldest spans.
+  std::uint64_t trace_events_dropped = 0;
 
   /// Serialises the manifest (embedding `metrics` under "metrics") to
   /// `path`.  Returns false when the file cannot be written.

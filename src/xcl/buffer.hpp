@@ -1,7 +1,10 @@
 // Device buffers (cl_mem analogue).  Storage is host memory — kernels run
 // functionally on the host — but allocation is accounted against the
 // context's simulated device, and transfers through a Queue are timed by the
-// device's interconnect model.
+// device's interconnect model.  The zero fill comes from the allocator
+// (calloc), so a large buffer's pages stay untouched until first written: a
+// model-only measurement, whose transfers move no bytes, never faults them
+// in.
 //
 // Two kernel-facing accessors exist (DESIGN.md §10):
 //   * view<T>()   — a raw std::span.  Host-side setup/teardown code only;
@@ -13,7 +16,8 @@
 //     dispatch tier can observe every access.
 #pragma once
 
-#include <cstring>
+#include <cstdlib>
+#include <memory>
 #include <new>
 #include <span>
 #include <string>
@@ -39,18 +43,20 @@ class Buffer {
     // Account against the device capacity before touching host memory, so
     // an oversized request fails with a device error, not a host OOM.
     ctx.on_alloc(bytes);
-    try {
-      data_ = static_cast<std::byte*>(
-          ::operator new(bytes, std::align_val_t{kHostAlignment}));
-    } catch (...) {
-      ctx.on_free(bytes);
-      throw;
-    }
-    bytes_ = bytes;
     // cl_mem contents are undefined at creation on a real runtime; this
     // buffer has always zero-filled (the old std::vector storage did), and
-    // dwarf setup code relies on it.
-    std::memset(data_, 0, bytes_);
+    // dwarf setup code relies on it.  One calloc of the payload plus the
+    // alignment slack, aligned up inside.
+    std::size_t space = bytes + kHostAlignment - 1;
+    raw_ = std::calloc(space, 1);
+    if (raw_ == nullptr) {
+      ctx.on_free(bytes);
+      throw std::bad_alloc();
+    }
+    void* aligned = raw_;
+    data_ = static_cast<std::byte*>(
+        std::align(kHostAlignment, bytes, aligned, space));
+    bytes_ = bytes;
     check::on_buffer_alloc(data_, bytes_);
   }
 
@@ -58,12 +64,14 @@ class Buffer {
 
   Buffer(Buffer&& other) noexcept
       : ctx_(other.ctx_),
+        raw_(other.raw_),
         data_(other.data_),
         bytes_(other.bytes_),
         name_(std::move(other.name_)) {
     // The heap block (the shadow-map key) moves with it; no checker
     // notification needed.
     other.ctx_ = nullptr;
+    other.raw_ = nullptr;
     other.data_ = nullptr;
     other.bytes_ = 0;
   }
@@ -75,10 +83,12 @@ class Buffer {
       // swap one large buffer for another.
       release();
       ctx_ = other.ctx_;
+      raw_ = other.raw_;
       data_ = other.data_;
       bytes_ = other.bytes_;
       name_ = std::move(other.name_);
       other.ctx_ = nullptr;
+      other.raw_ = nullptr;
       other.data_ = nullptr;
       other.bytes_ = 0;
     }
@@ -139,7 +149,7 @@ class Buffer {
 
  private:
   /// Returns context accounting, drops the checker shadow and frees the
-  /// aligned block for the current allocation (no-op for a moved-from
+  /// calloc block for the current allocation (no-op for a moved-from
   /// shell).
   void release() noexcept {
     if (ctx_ != nullptr && data_ != nullptr) {
@@ -150,13 +160,15 @@ class Buffer {
     }
     if (data_ != nullptr) check::on_buffer_release(data_);
     if (ctx_ != nullptr) ctx_->on_free(bytes_);
-    ::operator delete(data_, std::align_val_t{kHostAlignment});
+    std::free(raw_);
+    raw_ = nullptr;
     data_ = nullptr;
     bytes_ = 0;
     ctx_ = nullptr;
   }
 
   Context* ctx_;
+  void* raw_ = nullptr;  ///< the calloc block; data_ is aligned inside it
   std::byte* data_ = nullptr;
   std::size_t bytes_ = 0;
   std::string name_;

@@ -525,11 +525,15 @@ Event Queue::write_bytes(Buffer& dst, const void* src, std::size_t offset,
   e.kind = CommandKind::kWrite;
   e.label = transfer_label("write", dst.name(), bytes);
   e.bytes = bytes;
-  auto exec = [dptr = dst.data(), src, offset, bytes,
-               label = e.label]() -> std::uint64_t {
+  // Like launch(), the mode is captured at enqueue time: a model-only
+  // write moves no bytes, so the buffer's pages stay untouched.
+  auto exec = [dptr = dst.data(), src, offset, bytes, label = e.label,
+               functional = functional_]() -> std::uint64_t {
     const std::uint64_t t0 = scibench::now_ns();
-    std::memcpy(dptr + offset, src, bytes);
-    check::on_host_write(dptr, offset, bytes);  // transfers initialize
+    if (functional) {
+      std::memcpy(dptr + offset, src, bytes);
+      check::on_host_write(dptr, offset, bytes);  // transfers initialize
+    }
     const std::uint64_t t1 = scibench::now_ns();
     if (obs::timed_metrics_enabled()) g_q_transfer_host_ns.record(t1 - t0);
     if (obs::tracing_enabled()) {
@@ -565,9 +569,10 @@ Event Queue::read_bytes(const Buffer& src, void* dst, std::size_t offset,
   e.label = transfer_label("read", src.name(), bytes);
   e.bytes = bytes;
   const void* sptr = src.data() + offset;
-  auto exec = [sptr, dst, bytes, label = e.label]() -> std::uint64_t {
+  auto exec = [sptr, dst, bytes, label = e.label,
+               functional = functional_]() -> std::uint64_t {
     const std::uint64_t t0 = scibench::now_ns();
-    std::memcpy(dst, sptr, bytes);
+    if (functional) std::memcpy(dst, sptr, bytes);
     const std::uint64_t t1 = scibench::now_ns();
     if (obs::timed_metrics_enabled()) g_q_transfer_host_ns.record(t1 - t0);
     if (obs::tracing_enabled()) {

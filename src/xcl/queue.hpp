@@ -173,10 +173,13 @@ class Queue {
   /// an out-of-order queue.
   double finish();
 
-  /// When false, kernel launches are modeled (timed, event-recorded) but not
-  /// functionally executed.  Used by device sweeps where results have
-  /// already been validated once: the modeled timeline is identical, only
-  /// the host-side computation is skipped.  Defaults to true.
+  /// When false, commands are modeled (timed, event-recorded) but not
+  /// functionally executed: kernels do not run, and copies, fills, writes
+  /// and reads move no bytes (a write leaves the buffer, a read leaves the
+  /// host destination, as it was).  Each command keeps the mode it was
+  /// enqueued under.  Used by device sweeps where results have already been
+  /// validated once: the modeled timeline is identical, only the host-side
+  /// work is skipped.  Defaults to true.
   void set_functional(bool f) noexcept { functional_ = f; }
   [[nodiscard]] bool functional() const noexcept { return functional_; }
 

@@ -569,6 +569,10 @@ TEST(ObsRoundTrip, MeasureWritesTraceMetricsAndManifest) {
   EXPECT_EQ(manifest.at("trace_path").str, m.trace_path);
   EXPECT_EQ(manifest.at("metrics_path").str, m.metrics_path);
   EXPECT_EQ(manifest.at("profile_path").str, m.profile_path);
+  // A small traced run fits the per-thread rings: the trace is complete.
+  ASSERT_EQ(manifest.at("trace_events_dropped").type,
+            JsonValue::Type::kNumber);
+  EXPECT_EQ(manifest.at("trace_events_dropped").number, 0.0);
   EXPECT_GT(manifest.at("time_median_ms").number, 0.0);
   EXPECT_EQ(manifest.at("metrics").type, JsonValue::Type::kObject);
 

@@ -61,6 +61,29 @@ TEST(RunnerEdge, SegmentsCoverEveryKernel) {
   EXPECT_GT(m.transfer_seconds, 0.0);  // J upload + read-back
 }
 
+// The fourteen model-only devices of a sweep move no bytes, so the host
+// result the functional pass validated survives the sweep.  lud and nw
+// compute in place: a model-only readback would copy the raw upload back.
+TEST(RunnerEdge, SweepKeepsTheValidatedResult) {
+  MeasureOptions o;
+  o.samples = 1;
+  o.min_loop_seconds = 0.0;
+  o.validate = true;
+  for (const char* name : {"lud", "nw"}) {
+    SCOPED_TRACE(name);
+    auto once = dwarfs::create_dwarf(name);
+    const Measurement m = measure(*once, ProblemSize::kTiny,
+                                  *sim::testbed_devices().front(), o);
+    ASSERT_TRUE(m.validation.ok);
+    auto swept = dwarfs::create_dwarf(name);
+    const std::vector<Measurement> all =
+        measure_all_devices(*swept, ProblemSize::kTiny, o);
+    ASSERT_EQ(all.size(), 15u);
+    EXPECT_TRUE(all.front().validation.ok);
+    EXPECT_EQ(swept->result_signature(), once->result_signature());
+  }
+}
+
 TEST(RunnerEdge, EnergySamplesUseInstrumentNoise) {
   MeasureOptions o;
   o.functional = false;

@@ -309,6 +309,49 @@ TEST(BufferAlignment, HostStorageIsCacheLineAligned) {
   }
 }
 
+// The zero fill comes from the allocator.  40 MiB is past glibc's 32 MiB
+// ceiling on the dynamic mmap threshold, so it is always served from fresh
+// mmapped pages; the smaller sizes can come from the heap, where calloc
+// clears reused chunks itself.
+TEST(BufferAlignment, StorageIsZeroFilledAndAlignedOnHeapAndMmapPaths) {
+  Context ctx(dev());
+  for (const std::size_t bytes :
+       {1ul, 4097ul, 1ul << 20, std::size_t{40} << 20}) {
+    {
+      // Dirty then free a same-sized block, so a heap-served buffer lands
+      // on reused memory rather than on fresh zero pages.
+      Buffer dirty(ctx, bytes);
+      const auto v = dirty.view<std::uint8_t>();
+      std::fill(v.begin(), v.end(), std::uint8_t{0xA5});
+    }
+    Buffer b(ctx, bytes);
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(b.data()) %
+                  Buffer::kHostAlignment,
+              0u)
+        << "size " << bytes;
+    const auto v = b.view<const std::uint8_t>();
+    EXPECT_EQ(static_cast<std::size_t>(std::count(v.begin(), v.end(), 0)),
+              bytes)
+        << "size " << bytes;
+  }
+  EXPECT_EQ(ctx.allocated_bytes(), 0u);
+}
+
+TEST(BufferMove, MoveConstructAssignAndDestroyReturnTheGaugeToZero) {
+  Context ctx(dev());
+  {
+    Buffer a(ctx, 4097);
+    Buffer b(std::move(a));  // move-construct: the block changes owner
+    EXPECT_EQ(ctx.allocated_bytes(), 4097u);
+    EXPECT_EQ(a.bytes(), 0u);
+    Buffer c(ctx, std::size_t{40} << 20);
+    b = std::move(c);  // move-assign: the 4097 B block is freed first
+    EXPECT_EQ(ctx.allocated_bytes(), std::size_t{40} << 20);
+    EXPECT_EQ(b.view<const std::uint8_t>()[(std::size_t{40} << 20) - 1], 0);
+  }
+  EXPECT_EQ(ctx.allocated_bytes(), 0u);
+}
+
 TEST(BufferMove, MoveAssignReleasesOldAllocationFirst) {
   Context ctx(dev());
   Buffer a(ctx, 1024);

@@ -2,8 +2,11 @@
 // queue events and the execution engine.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <numeric>
+#include <utility>
+#include <vector>
 
 #include "sim/testbed.hpp"
 #include "xcl/buffer.hpp"
@@ -149,6 +152,58 @@ TEST(Queue, NonFunctionalModeSkipsExecutionButModelsTime) {
   q.enqueue(k, NDRange(64, 64), trivial_profile());
   EXPECT_EQ(view[0], -1);  // body not executed
   EXPECT_GT(q.modeled_kernel_seconds(), 0.0);  // but time was modeled
+}
+
+// Model-only transfers move no bytes but record exactly the events a
+// functional queue does.  Each queue runs a blocking write/read pair and a
+// wait-listed (deferred, in an out-of-order queue) pair; the deferred pair
+// is drained only after the mode flips back, so it must honour the mode it
+// was enqueued under.
+TEST(Queue, NonFunctionalTransfersMoveNoBytesButModelTime) {
+  for (const QueueMode mode : {QueueMode::kInOrder, QueueMode::kOutOfOrder}) {
+    SCOPED_TRACE(to_string(mode));
+    auto run = [mode](bool functional, std::vector<Event>* events) {
+      Context ctx(gpu_device());
+      Queue q(ctx, mode);
+      Buffer b = make_buffer<int>(ctx, 256);
+      b.named("b");
+      const auto init = b.view<int>();
+      std::fill(init.begin(), init.end(), -1);
+      const std::vector<int> src(256, 7);
+      std::vector<int> dst(256, 5);
+      q.set_functional(functional);
+      q.enqueue_write<int>(b, src);
+      q.enqueue_read<int>(b, dst);
+      const Event w = q.enqueue_write<int>(b, std::span(src).first(64), 0,
+                                           std::span<const Event>{});
+      const Event waits[] = {w};
+      q.enqueue_read<int>(b, std::span(dst).first(64), 0, waits);
+      q.set_functional(true);
+      q.finish();
+      *events = q.events();
+      const auto bytes = b.view<const int>();
+      const bool buffer_kept = std::all_of(bytes.begin(), bytes.end(),
+                                           [](int v) { return v == -1; });
+      const bool dst_kept = std::all_of(dst.begin(), dst.end(),
+                                        [](int v) { return v == 5; });
+      return std::pair{buffer_kept, dst_kept};
+    };
+    std::vector<Event> model_only;
+    std::vector<Event> functional;
+    EXPECT_EQ(run(false, &model_only), std::pair(true, true));
+    EXPECT_EQ(run(true, &functional), std::pair(false, false));
+    ASSERT_EQ(model_only.size(), 4u);
+    ASSERT_EQ(model_only.size(), functional.size());
+    for (std::size_t i = 0; i < model_only.size(); ++i) {
+      EXPECT_EQ(model_only[i].kind, functional[i].kind) << i;
+      EXPECT_EQ(model_only[i].label, functional[i].label) << i;
+      EXPECT_EQ(model_only[i].bytes, functional[i].bytes) << i;
+      EXPECT_EQ(model_only[i].modeled_start_s, functional[i].modeled_start_s)
+          << i;
+      EXPECT_EQ(model_only[i].modeled_end_s, functional[i].modeled_end_s)
+          << i;
+    }
+  }
 }
 
 TEST(Queue, TransferBoundsChecked) {
