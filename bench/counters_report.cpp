@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
 
   // --max-accesses N skips any trace whose size hint exceeds N (0, the
   // default, replays everything -- gem medium/large included).
-  // --dispatch=auto|item|span|simd|checked pins the kernel tier for the
+  // --dispatch=auto|item|checked pins the kernel tier for the
   // functional passes below (A/B dispatch measurement; counters are
   // tier-invariant; checked adds the §10 shadow-memory report).  The
   // default honors the EOD_DISPATCH env hatch.

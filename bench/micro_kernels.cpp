@@ -1,7 +1,8 @@
-// Kernel-tier dispatch microbench (DESIGN.md §9): the same two kernels --
-// one memory-bound (saxpy over a float stream), one compute-bound (a
-// 64-deep dependent FMA chain per item) -- executed through each of the
-// three tiers the executor offers:
+// Kernel-tier dispatch microbench (DESIGN.md §9), in two parts.
+//
+// Part 1: the same two synthetic kernels -- one memory-bound (saxpy over a
+// float stream), one compute-bound (a 64-deep dependent FMA chain per
+// item) -- executed through each of the three tiers the executor offers:
 //
 //   fiber  the kernel declares barriers, every group runs as a fiber set
 //   loop   the per-item reference path (--dispatch=item)
@@ -14,15 +15,30 @@
 // (acceptance target: >= 5x span vs loop).  On the compute-bound kernel
 // real work dominates and the tiers converge -- the control that shows the
 // span win is overhead elimination, not different arithmetic.
+//
+// Part 2: five dwarfs' real application iterations -- setup/bind once,
+// then timed run()+finish() reps -- under --dispatch=item and
+// --dispatch=auto (each kernel's one fast body: explicit vectors for
+// kmeans, gem and srad, slice-by-8 for crc, an autovectorized loop for
+// csr).  Before any timing, every dwarf's auto output is checked
+// bit-identical to the item reference via result_signature(); a speedup
+// over a wrong answer is not a speedup.  Acceptance: fast/item >= 1.5x on
+// at least two of the five dwarfs.
 #include <algorithm>
 #include <cstdio>
+#include <functional>
+#include <string>
 #include <vector>
 
 #include "bench_json.hpp"
+#include "dwarfs/common.hpp"
+#include "dwarfs/registry.hpp"
 #include "scibench/timer.hpp"
 #include "sim/testbed.hpp"
+#include "xcl/context.hpp"
 #include "xcl/executor.hpp"
 #include "xcl/kernel.hpp"
+#include "xcl/queue.hpp"
 #include "xcl/simd.hpp"
 
 namespace {
@@ -39,6 +55,10 @@ constexpr std::size_t kFiberItems = std::size_t{1} << 15;
 constexpr int kWarmup = 2;
 constexpr int kReps = 7;
 constexpr int kFmaDepth = 64;
+constexpr int kDwarfWarmup = 1;
+constexpr int kDwarfReps = 5;
+constexpr double kDwarfGateRatio = 1.5;
+constexpr int kDwarfGateCount = 2;
 
 struct ScopedDispatchMode {
   explicit ScopedDispatchMode(xcl::DispatchMode m) {
@@ -92,18 +112,6 @@ KernelSet memory_bound(const float* x, float* y) {
     float* EOD_RESTRICT yp = y;
     for (std::size_t i = begin; i < end; ++i) yp[i] = a * xp[i] + yp[i];
   });
-  set.plain.simd([=](std::size_t begin, std::size_t end) {
-    namespace sv = eod::xcl::simd;
-    constexpr std::size_t W = sv::kLanes;
-    const float* EOD_RESTRICT xp = x;
-    float* EOD_RESTRICT yp = y;
-    const sv::vfloat av = sv::vbroadcast(a);
-    std::size_t i = begin;
-    for (; i + W <= end; i += W) {
-      sv::vstore(yp + i, av * sv::vload(xp + i) + sv::vload(yp + i));
-    }
-    for (; i < end; ++i) yp[i] = a * xp[i] + yp[i];
-  });
   return set;
 }
 
@@ -129,25 +137,6 @@ KernelSet compute_bound(const float* x, float* y) {
     float* EOD_RESTRICT yp = y;
     for (std::size_t i = begin; i < end; ++i) yp[i] = chain(xp[i]);
   });
-  // Explicit vectors break the per-item latency chain across lanes: each
-  // lane still runs its own dependent 64-FMA chain, but W of them advance
-  // per instruction -- unlike the memory-bound kernel, the simd win here is
-  // arithmetic throughput, not dispatch overhead.
-  set.plain.simd([=](std::size_t begin, std::size_t end) {
-    namespace sv = eod::xcl::simd;
-    constexpr std::size_t W = sv::kLanes;
-    const float* EOD_RESTRICT xp = x;
-    float* EOD_RESTRICT yp = y;
-    const sv::vfloat m = sv::vbroadcast(1.000001f);
-    const sv::vfloat c = sv::vbroadcast(0.5f);
-    std::size_t i = begin;
-    for (; i + W <= end; i += W) {
-      sv::vfloat v = sv::vload(xp + i);
-      for (int j = 0; j < kFmaDepth; ++j) v = v * m + c;
-      sv::vstore(yp + i, v);
-    }
-    for (; i < end; ++i) yp[i] = chain(xp[i]);
-  });
   return set;
 }
 
@@ -155,11 +144,9 @@ struct TierRates {
   double fiber = 0.0;
   double loop = 0.0;
   double span = 0.0;
-  double simd = 0.0;
   std::vector<double> fiber_ns;
   std::vector<double> loop_ns;
   std::vector<double> span_ns;
-  std::vector<double> simd_ns;
 };
 
 TierRates measure(const KernelSet& set, const xcl::Device& device) {
@@ -181,16 +168,10 @@ TierRates measure(const KernelSet& set, const xcl::Device& device) {
         &r.loop_ns);
   }
   {
-    ScopedDispatchMode mode(xcl::DispatchMode::kSpan);
+    ScopedDispatchMode mode(xcl::DispatchMode::kAuto);
     r.span = mitems_per_second(
         kMemItems, [&] { xcl::execute_ndrange(set.plain, range, device); },
         &r.span_ns);
-  }
-  {
-    ScopedDispatchMode mode(xcl::DispatchMode::kSimd);
-    r.simd = mitems_per_second(
-        kMemItems, [&] { xcl::execute_ndrange(set.plain, range, device); },
-        &r.simd_ns);
   }
   return r;
 }
@@ -198,15 +179,97 @@ TierRates measure(const KernelSet& set, const xcl::Device& device) {
 void report(const char* name, const TierRates& r) {
   std::printf(
       "%-14s fiber %8.1f Mitems/s   loop %8.1f Mitems/s   span %8.1f "
-      "Mitems/s   simd %8.1f Mitems/s   span/loop %6.2fx   simd/span "
-      "%6.2fx\n",
-      name, r.fiber, r.loop, r.span, r.simd, r.span / r.loop,
-      r.simd / r.span);
+      "Mitems/s   span/loop %6.2fx\n",
+      name, r.fiber, r.loop, r.span, r.span / r.loop);
+}
+
+struct DwarfCase {
+  const char* name;
+  dwarfs::ProblemSize time_size;  ///< size the throughput reps run at
+  dwarfs::ProblemSize sig_size;   ///< size the bit-equivalence check runs at
+};
+
+// gem is O(vertices x atoms); small already gives the inner loop thousands
+// of iterations per vertex, and medium would push one item-tier rep into
+// minutes.  Everything else times at medium (the 8 MiB L3 class), where a
+// run is long enough to dwarf launch overhead but reps stay interactive.
+const DwarfCase kDwarfs[] = {
+    {"kmeans", dwarfs::ProblemSize::kMedium, dwarfs::ProblemSize::kSmall},
+    {"csr", dwarfs::ProblemSize::kMedium, dwarfs::ProblemSize::kSmall},
+    {"gem", dwarfs::ProblemSize::kSmall, dwarfs::ProblemSize::kTiny},
+    {"srad", dwarfs::ProblemSize::kMedium, dwarfs::ProblemSize::kSmall},
+    {"crc", dwarfs::ProblemSize::kMedium, dwarfs::ProblemSize::kSmall},
+};
+
+// Sets a dwarf up and binds it on the i7-6700K under `mode`, calls
+// `body(dwarf)`, then unbinds.
+void with_bound_dwarf(const char* name, dwarfs::ProblemSize size,
+                      xcl::DispatchMode mode,
+                      const std::function<void(dwarfs::Dwarf&)>& body) {
+  ScopedDispatchMode guard(mode);
+  auto dwarf = dwarfs::create_dwarf(name);
+  dwarf->setup(size);
+  xcl::Context ctx(sim::testbed_device("i7-6700K"));
+  xcl::Queue q(ctx);
+  dwarf->bind(ctx, q);
+  body(*dwarf);
+  dwarf->unbind();
+}
+
+std::uint64_t signature_once(const char* name, dwarfs::ProblemSize size,
+                             xcl::DispatchMode mode) {
+  std::uint64_t sig = 0;
+  with_bound_dwarf(name, size, mode, [&](dwarfs::Dwarf& d) {
+    d.run();
+    d.finish();
+    sig = d.result_signature();
+  });
+  return sig;
+}
+
+// Best-of-reps seconds for one application iteration under `mode`; raw
+// samples are kept for the json percentiles.  One setup/bind, repeated
+// run()+finish() -- the same shape the harness measurement loop uses.
+double time_dwarf(const char* name, dwarfs::ProblemSize size,
+                  xcl::DispatchMode mode, std::vector<double>* samples_ns) {
+  std::uint64_t best = ~std::uint64_t{0};
+  with_bound_dwarf(name, size, mode, [&](dwarfs::Dwarf& d) {
+    for (int i = 0; i < kDwarfWarmup; ++i) {
+      d.run();
+      d.finish();
+    }
+    for (int i = 0; i < kDwarfReps; ++i) {
+      const std::uint64_t t0 = scibench::now_ns();
+      d.run();
+      d.finish();
+      const std::uint64_t t1 = scibench::now_ns();
+      best = std::min(best, t1 - t0);
+      samples_ns->push_back(static_cast<double>(t1 - t0));
+    }
+  });
+  return static_cast<double>(best) * 1e-9;
 }
 
 }  // namespace
 
 int main() {
+  // Bit-equivalence pre-check: each dwarf's fast bodies must reproduce the
+  // per-item reference exactly before any timing counts.
+  for (const DwarfCase& c : kDwarfs) {
+    const std::uint64_t item =
+        signature_once(c.name, c.sig_size, xcl::DispatchMode::kItem);
+    const std::uint64_t fast =
+        signature_once(c.name, c.sig_size, xcl::DispatchMode::kAuto);
+    if (item == 0 || item != fast) {
+      std::printf("FAIL: %s auto signature %016llx != item %016llx\n",
+                  c.name, static_cast<unsigned long long>(fast),
+                  static_cast<unsigned long long>(item));
+      return 1;
+    }
+  }
+  std::printf("signatures: all %zu dwarfs bit-identical to item tier\n\n",
+              std::size(kDwarfs));
+
   xcl::Device& device = sim::testbed_device("i7-6700K");
 
   std::vector<float> x(kMemItems, 0.5f);
@@ -235,18 +298,11 @@ int main() {
         &fma_rates.loop_ns);
   }
   {
-    ScopedDispatchMode mode(xcl::DispatchMode::kSpan);
+    ScopedDispatchMode mode(xcl::DispatchMode::kAuto);
     const xcl::NDRange range(kComputeItems, kLocal);
     fma_rates.span = mitems_per_second(
         kComputeItems, [&] { xcl::execute_ndrange(fma.plain, range, device); },
         &fma_rates.span_ns);
-  }
-  {
-    ScopedDispatchMode mode(xcl::DispatchMode::kSimd);
-    const xcl::NDRange range(kComputeItems, kLocal);
-    fma_rates.simd = mitems_per_second(
-        kComputeItems, [&] { xcl::execute_ndrange(fma.plain, range, device); },
-        &fma_rates.simd_ns);
   }
   report("compute-bound", fma_rates);
 
@@ -256,31 +312,58 @@ int main() {
       "span/loop: %.2fx (expected ~1x: real work dominates)\n",
       target, fma_rates.span / fma_rates.loop);
 
+  std::printf("\nfast (auto) vs item on the dwarfs (%zu simd lanes)\n",
+              xcl::simd::kLanes);
   bench::BenchReport json("kernels");
   json.config("device", device.info().name);
   json.config("local", static_cast<double>(kLocal));
   json.config("mem_items", static_cast<double>(kMemItems));
   json.config("compute_items", static_cast<double>(kComputeItems));
   json.config("simd_lanes", static_cast<double>(xcl::simd::kLanes));
+  json.config("dwarf_reps", static_cast<double>(kDwarfReps));
+  int cleared = 0;
+  for (const DwarfCase& c : kDwarfs) {
+    std::vector<double> item_ns;
+    std::vector<double> fast_ns;
+    const double item_s =
+        time_dwarf(c.name, c.time_size, xcl::DispatchMode::kItem, &item_ns);
+    const double fast_s =
+        time_dwarf(c.name, c.time_size, xcl::DispatchMode::kAuto, &fast_ns);
+    const double ratio = item_s / fast_s;
+    if (ratio >= kDwarfGateRatio) ++cleared;
+    std::printf("%-8s %-8s item %10.3f ms   fast %10.3f ms   fast/item "
+                "%5.2fx%s\n",
+                c.name, dwarfs::to_string(c.time_size), item_s * 1e3,
+                fast_s * 1e3, ratio, ratio >= kDwarfGateRatio ? "  *" : "");
+    json.config(std::string(c.name) + "_size",
+                dwarfs::to_string(c.time_size));
+    json.metric(std::string(c.name) + "_item", item_ns);
+    json.metric(std::string(c.name) + "_fast", fast_ns);
+    json.value(std::string(c.name) + "_fast_over_item", ratio);
+  }
+
   json.metric("mem_fiber", mem_rates.fiber_ns);
   json.metric("mem_loop", mem_rates.loop_ns);
   json.metric("mem_span", mem_rates.span_ns);
-  json.metric("mem_simd", mem_rates.simd_ns);
   json.metric("fma_fiber", fma_rates.fiber_ns);
   json.metric("fma_loop", fma_rates.loop_ns);
   json.metric("fma_span", fma_rates.span_ns);
-  json.metric("fma_simd", fma_rates.simd_ns);
   json.value("mem_span_mitems_per_s", mem_rates.span);
   json.value("mem_loop_mitems_per_s", mem_rates.loop);
-  json.value("mem_simd_mitems_per_s", mem_rates.simd);
   json.value("fma_span_over_loop", fma_rates.span / fma_rates.loop);
-  json.value("fma_simd_over_span", fma_rates.simd / fma_rates.span);
-  json.value("mem_simd_over_span", mem_rates.simd / mem_rates.span);
+  json.value("dwarfs_cleared", static_cast<double>(cleared));
   json.speedup(target);
   if (!json.write()) std::printf("warning: BENCH_kernels.json not written\n");
 
-  const bool ok = target >= 5.0;
-  std::printf("%s\n", ok ? "PASS: span tier removes per-item dispatch cost"
-                         : "FAIL: target not met");
-  return ok ? 0 : 1;
+  const bool span_ok = target >= 5.0;
+  const bool dwarfs_ok = cleared >= kDwarfGateCount;
+  std::printf("\n%d/%zu dwarfs at fast/item >= %.1fx (need %d)\n", cleared,
+              std::size(kDwarfs), kDwarfGateRatio, kDwarfGateCount);
+  std::printf("%s\n%s\n",
+              span_ok ? "PASS: span tier removes per-item dispatch cost"
+                      : "FAIL: span/loop target not met",
+              dwarfs_ok ? "PASS: fast bodies beat the item tier where it "
+                          "matters"
+                        : "FAIL: fast/item gate not met");
+  return span_ok && dwarfs_ok ? 0 : 1;
 }

@@ -70,7 +70,7 @@ SpanAtScale run_lud(std::size_t n_devices) {
   dwarf.configure(kLudDim);
   harness::PartitionOptions opts;
   opts.validate = false;  // signature-checked across device counts below
-  opts.dispatch = xcl::DispatchMode::kSpan;
+  opts.dispatch = xcl::DispatchMode::kAuto;
   const harness::PartitionedResult r =
       harness::run_partitioned_lud(dwarf, fleet(n_devices), opts);
   return {n_devices, r.compute_makespan_s, r.signature, true};
@@ -81,7 +81,7 @@ SpanAtScale run_nw(std::size_t n_devices) {
   dwarf.configure(kNwLength, 10);
   harness::PartitionOptions opts;
   opts.validate = true;
-  opts.dispatch = xcl::DispatchMode::kSpan;
+  opts.dispatch = xcl::DispatchMode::kAuto;
   const harness::PartitionedResult r =
       harness::run_partitioned_nw(dwarf, fleet(n_devices), opts);
   return {n_devices, r.compute_makespan_s, r.signature, r.validation.ok};

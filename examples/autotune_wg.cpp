@@ -12,8 +12,6 @@
 
 #include "harness/autotune.hpp"
 #include "sim/testbed.hpp"
-#include "xcl/kernel.hpp"
-#include "xcl/simd.hpp"
 
 int main() {
   using namespace eod;
@@ -71,47 +69,6 @@ int main() {
               << std::setprecision(3)
               << sweep.front().modeled_seconds / best.modeled_seconds
               << "x slower than tuned (wg " << best.work_group << ")\n";
-  }
-
-  // Dispatch-tier sweep (DESIGN.md §13): the same saxpy kernel carrying
-  // all three host-side formulations, measured for real.  The tuner's
-  // candidate set follows the kernel's registered bodies.
-  std::cout << "\nmeasured dispatch-tier sweep (saxpy, "
-            << (std::size_t{1} << 20) << " items):\n";
-  {
-    const std::size_t items = std::size_t{1} << 20;
-    std::vector<float> x(items, 0.5f);
-    std::vector<float> y(items, 0.25f);
-    const float* xp = x.data();
-    float* yp = y.data();
-    constexpr float a = 1.25f;
-    xcl::Kernel saxpy("saxpy", [=](xcl::WorkItem& it) {
-      const std::size_t i = it.global_id(0);
-      yp[i] = a * xp[i] + yp[i];
-    });
-    saxpy.span([=](std::size_t begin, std::size_t end) {
-      for (std::size_t i = begin; i < end; ++i) yp[i] = a * xp[i] + yp[i];
-    });
-    saxpy.simd([=](std::size_t begin, std::size_t end) {
-      namespace sv = xcl::simd;
-      constexpr std::size_t W = sv::kLanes;
-      const sv::vfloat av = sv::vbroadcast(a);
-      std::size_t i = begin;
-      for (; i + W <= end; i += W) {
-        sv::vstore(yp + i, av * sv::vload(xp + i) + sv::vload(yp + i));
-      }
-      for (; i < end; ++i) yp[i] = a * xp[i] + yp[i];
-    });
-    xcl::Device& dev = sim::testbed_device("i7-6700K");
-    const auto tiers =
-        sweep_dispatch_tiers(saxpy, xcl::NDRange(items, 256), dev);
-    for (const TierTuneResult& t : tiers) {
-      std::cout << "  " << std::left << std::setw(8)
-                << xcl::to_string(t.mode) << std::setprecision(4)
-                << t.seconds * 1e3 << " ms\n";
-    }
-    std::cout << "  -> best tier = " << xcl::to_string(tiers.front().mode)
-              << " (simd lanes: " << xcl::simd::kLanes << ")\n";
   }
   return 0;
 }

@@ -28,12 +28,12 @@ const std::array<std::uint32_t, 256>& crc_table() {
   return table;
 }
 
-// Slice-by-8 tables (the simd tier's formulation, DESIGN.md §13): table k
+// Slice-by-8 tables (the span body's formulation, DESIGN.md §9): table k
 // advances a byte's contribution through k additional zero bytes, so eight
 // single-byte chain steps collapse into eight independent lookups XORed
 // together.  Pure GF(2) algebra over the same polynomial -- the resulting
 // CRC is the identical integer, not merely close, which is what lets the
-// simd body keep the bit-exactness contract without lane vectors.
+// span body keep the bit-exactness contract without lane vectors.
 std::array<std::array<std::uint32_t, 256>, 8> build_slice_tables() {
   std::array<std::array<std::uint32_t, 256>, 8> t{};
   t[0] = build_table();
@@ -123,31 +123,13 @@ void Crc::run() {
     out[page] = c ^ 0xFFFFFFFFu;
   });
 
-  // Span tier: a run of whole pages per call.  The per-byte chain stays
-  // serial by construction; the win is dispatch amortization, not SIMD.
-  kernel.span([=](std::size_t page_begin, std::size_t page_end) {
-    const std::uint8_t* EOD_RESTRICT data = bytes.data();
-    const std::uint32_t* EOD_RESTRICT tab = table.data();
-    std::uint32_t* EOD_RESTRICT crcs = out.data();
-    for (std::size_t page = page_begin,
-                     last = std::min(page_end, n_pages);
-         page < last; ++page) {
-      const std::size_t begin = page * kPageBytes;
-      const std::size_t end = std::min(total, begin + kPageBytes);
-      std::uint32_t c = 0xFFFFFFFFu;
-      for (std::size_t i = begin; i < end; ++i) {
-        c = tab[(c ^ data[i]) & 0xFFu] ^ (c >> 8);
-      }
-      crcs[page] = c ^ 0xFFFFFFFFu;
-    }
-  });
-
-  // Simd tier: slice-by-8.  The scalar chain serializes one table lookup
-  // per byte; slicing processes 8 bytes per step as eight independent
-  // lookups the core can issue in parallel.  Byte assembly into the two
+  // Span tier (DESIGN.md §9): a run of whole pages per call, slice-by-8.
+  // The scalar chain serializes one table lookup per byte; slicing
+  // processes 8 bytes per step as eight independent lookups the core can
+  // issue in parallel.  Byte assembly into the two
   // 32-bit words goes through explicit shifts, so the result is
   // endian-independent and equal to the byte-at-a-time chain bit for bit.
-  kernel.simd([=](std::size_t page_begin, std::size_t page_end) {
+  kernel.span([=](std::size_t page_begin, std::size_t page_end) {
     const std::uint8_t* EOD_RESTRICT data = bytes.data();
     const auto& t = slice_tables();
     std::uint32_t* EOD_RESTRICT crcs = out.data();

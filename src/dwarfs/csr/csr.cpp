@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "xcl/kernel.hpp"
-#include "xcl/simd.hpp"
 
 namespace eod::dwarfs {
 
@@ -116,58 +115,6 @@ void Csr::run() {
     const float* EOD_RESTRICT xv = x.data();
     float* EOD_RESTRICT yv = y.data();
     for (std::size_t r = begin, last = std::min(end, n); r < last; ++r) {
-      float acc = 0.0f;
-      for (std::uint32_t k = rp[r]; k < rp[r + 1]; ++k) {
-        acc += va[k] * xv[ci[k]];
-      }
-      yv[r] = acc;
-    }
-  });
-
-  // Simd tier (DESIGN.md §13): W rows per step, lanes advancing in
-  // lockstep through nonzero position k of their own row.  Each lane's
-  // products accumulate in exactly the scalar order (k = 0, 1, ... within
-  // that row); lanes whose row is exhausted carry their accumulator through
-  // a mask select, which is a pure bitwise blend -- never `+ 0.0f`, which
-  // would flush a negative zero.  Gathers stay scalar, as on real SpMV
-  // hardware; the win is amortizing the row loop control across lanes.
-  spmv.simd([=](std::size_t begin, std::size_t end) {
-    namespace sv = xcl::simd;
-    constexpr std::size_t W = sv::kLanes;
-    const std::uint32_t* EOD_RESTRICT rp = row_ptr.data();
-    const std::uint32_t* EOD_RESTRICT ci = cols.data();
-    const float* EOD_RESTRICT va = vals.data();
-    const float* EOD_RESTRICT xv = x.data();
-    float* EOD_RESTRICT yv = y.data();
-    std::size_t r = begin;
-    const std::size_t last = std::min(end, n);
-    for (; r + W <= last; r += W) {
-      std::uint32_t start[W];
-      std::uint32_t len[W];
-      std::uint32_t max_len = 0;
-      for (std::size_t l = 0; l < W; ++l) {
-        start[l] = rp[r + l];
-        len[l] = rp[r + l + 1] - start[l];
-        max_len = std::max(max_len, len[l]);
-      }
-      sv::vfloat acc = sv::vbroadcast(0.0f);
-      for (std::uint32_t k = 0; k < max_len; ++k) {
-        sv::vfloat vv = sv::vbroadcast(0.0f);
-        sv::vfloat xx = sv::vbroadcast(0.0f);
-        sv::vint32 active = sv::vbroadcast_i32(0);
-        for (std::size_t l = 0; l < W; ++l) {
-          if (k < len[l]) {
-            const std::uint32_t idx = start[l] + k;
-            vv[l] = va[idx];
-            xx[l] = xv[ci[idx]];
-            active[l] = -1;
-          }
-        }
-        acc = sv::vselect(active, acc + vv * xx, acc);
-      }
-      for (std::size_t l = 0; l < W; ++l) yv[r + l] = acc[l];
-    }
-    for (; r < last; ++r) {
       float acc = 0.0f;
       for (std::uint32_t k = rp[r]; k < rp[r + 1]; ++k) {
         acc += va[k] * xv[ci[k]];

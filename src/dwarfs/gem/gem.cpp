@@ -223,38 +223,13 @@ void Gem::run() {
       pot[i] = acc;
     });
 
-    // Span tier: a run of vertices per call; the rsqrt accumulation keeps
-    // its per-vertex order, so results stay bit-identical to the item
-    // path.
-    k.span([=](std::size_t lo, std::size_t hi) {
-      const float* EOD_RESTRICT xyzq = atoms.data();
-      const float* EOD_RESTRICT xyz = verts.data();
-      float* EOD_RESTRICT out = pot.data();
-      for (std::size_t i = base + lo, last = std::min(base + hi, limit);
-           i < last; ++i) {
-        const float px = xyz[3 * i];
-        const float py = xyz[3 * i + 1];
-        const float pz = xyz[3 * i + 2];
-        float acc = 0.0f;
-        for (std::size_t kk = 0; kk < a; ++kk) {
-          const float dx = px - xyzq[4 * kk];
-          const float dy = py - xyzq[4 * kk + 1];
-          const float dz = pz - xyzq[4 * kk + 2];
-          const float inv_r =
-              1.0f / std::sqrt(dx * dx + dy * dy + dz * dz + 1e-6f);
-          acc += xyzq[4 * kk + 3] * inv_r;
-        }
-        out[i] = acc;
-      }
-    });
-
-    // Simd tier (DESIGN.md §13): W vertices per step against a broadcast
+    // Span tier (DESIGN.md §9): W vertices per step against a broadcast
     // atom.  Every lane performs the scalar body's exact op sequence --
     // subtract, three squares summed left-to-right, +1e-6f, IEEE sqrt
     // (hardware sqrtps is correctly rounded, like std::sqrt), divide,
     // multiply-accumulate -- so each vertex's potential is bit-identical
     // to the item path.  The sub-W vertex tail runs the scalar loop.
-    k.simd([=](std::size_t lo, std::size_t hi) {
+    k.span([=](std::size_t lo, std::size_t hi) {
       namespace sv = xcl::simd;
       constexpr std::size_t W = sv::kLanes;
       const float* EOD_RESTRICT xyzq = atoms.data();

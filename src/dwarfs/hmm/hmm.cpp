@@ -1,10 +1,24 @@
 #include "dwarfs/hmm/hmm.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "xcl/kernel.hpp"
 
 namespace eod::dwarfs {
+
+namespace {
+
+// One work-item per element in groups of min(64, count), the global size
+// padded up to a group multiple; the kernels' tail guards skip the pad.
+xcl::NDRange padded_range(std::size_t count) {
+  const std::size_t wg = std::min<std::size_t>(64, count);
+  return xcl::NDRange((count + wg - 1) / wg * wg, wg);
+}
+
+}  // namespace
 
 HmmModel generate_hmm(unsigned states, unsigned symbols,
                       std::uint64_t seed) {
@@ -32,7 +46,7 @@ HmmModel generate_hmm(unsigned states, unsigned symbols,
 }
 
 HmmModel baum_welch_reference(const HmmModel& model,
-                              const std::vector<std::uint8_t>& obs,
+                              const std::vector<std::int32_t>& obs,
                               double* log_likelihood) {
   const unsigned n = model.n_states;
   const unsigned s = model.n_symbols;
@@ -40,8 +54,9 @@ HmmModel baum_welch_reference(const HmmModel& model,
   auto a = [&](unsigned i, unsigned j) {
     return static_cast<double>(model.a[std::size_t{i} * n + j]);
   };
-  auto b = [&](unsigned j, unsigned o) {
-    return static_cast<double>(model.b[std::size_t{j} * s + o]);
+  auto b = [&](unsigned j, std::int32_t o) {
+    return static_cast<double>(
+        model.b[std::size_t{j} * s + static_cast<unsigned>(o)]);
   };
 
   std::vector<double> alpha(t_len * n), beta(t_len * n), gamma(t_len * n);
@@ -120,7 +135,7 @@ HmmModel baum_welch_reference(const HmmModel& model,
     for (unsigned sym = 0; sym < s; ++sym) {
       double num = 0.0;
       for (std::size_t t = 0; t < t_len; ++t) {
-        if (obs[t] == sym) num += gamma[t * n + j];
+        if (static_cast<unsigned>(obs[t]) == sym) num += gamma[t * n + j];
       }
       out.b[std::size_t{j} * s + sym] = static_cast<float>(num / gsum);
     }
@@ -170,16 +185,26 @@ void Hmm::configure(const Params& params, std::size_t seq_len) {
   SplitMix64 rng(0x686d6d02ull);
   obs_.resize(seq_len_);
   for (auto& o : obs_) {
-    o = static_cast<std::uint8_t>(rng.below(params_.symbols));
+    o = static_cast<std::int32_t>(rng.below(params_.symbols));
   }
   new_a_.assign(model_.a.size(), 0.0f);
   new_b_.assign(model_.b.size(), 0.0f);
 }
 
 void Hmm::bind(xcl::Context& ctx, xcl::Queue& q) {
-  queue_ = &q;
   const std::size_t n = params_.states;
   const std::size_t s = params_.symbols;
+  // The forward/backward sweeps normalise each step inside one work-group
+  // of `states` items; reject a model the device cannot hold before any
+  // command is enqueued.
+  const xcl::DeviceInfo& info = ctx.device().info();
+  if (n > info.max_work_group_size) {
+    throw std::invalid_argument(
+        "hmm: " + std::to_string(n) + " states exceed the " +
+        std::to_string(info.max_work_group_size) +
+        "-item work-group limit of " + info.name);
+  }
+  queue_ = &q;
   a_buf_.emplace(ctx, n * n * sizeof(float));
   b_buf_.emplace(ctx, n * s * sizeof(float));
   pi_buf_.emplace(ctx, n * sizeof(float));
@@ -195,8 +220,7 @@ void Hmm::bind(xcl::Context& ctx, xcl::Queue& q) {
   q.enqueue_write<float>(*a_buf_, model_.a);
   q.enqueue_write<float>(*b_buf_, model_.b);
   q.enqueue_write<float>(*pi_buf_, model_.pi);
-  std::vector<std::int32_t> obs32(obs_.begin(), obs_.end());
-  q.enqueue_write<std::int32_t>(*obs_buf_, obs32);
+  q.enqueue_write<std::int32_t>(*obs_buf_, obs_);
 }
 
 void Hmm::run() {
@@ -309,8 +333,7 @@ void Hmm::run() {
   });
   xcl::WorkloadProfile gam_prof = step_prof;
   gam_prof.flops = static_cast<double>(t_len) * n * n * 4;
-  queue_->enqueue(gam, xcl::NDRange(t_len, std::min<std::size_t>(64, t_len)),
-                  gam_prof);
+  queue_->enqueue(gam, padded_range(t_len), gam_prof);
 
   // A re-estimation: one work-item per (i, j).
   xcl::Kernel upd_a("hmm_update_a", [=](xcl::WorkItem& it) {
@@ -330,10 +353,7 @@ void Hmm::run() {
   });
   xcl::WorkloadProfile ua_prof = step_prof;
   ua_prof.flops = static_cast<double>(n) * n * t_len * 6;
-  queue_->enqueue(upd_a,
-                  xcl::NDRange(std::size_t{n} * n,
-                               std::min<std::size_t>(64, std::size_t{n} * n)),
-                  ua_prof);
+  queue_->enqueue(upd_a, padded_range(std::size_t{n} * n), ua_prof);
 
   // B re-estimation: one work-item per (j, sym).
   xcl::Kernel upd_b("hmm_update_b", [=](xcl::WorkItem& it) {
@@ -352,10 +372,7 @@ void Hmm::run() {
   });
   xcl::WorkloadProfile ub_prof = step_prof;
   ub_prof.flops = static_cast<double>(n) * s * t_len * 2;
-  queue_->enqueue(upd_b,
-                  xcl::NDRange(std::size_t{n} * s,
-                               std::min<std::size_t>(64, std::size_t{n} * s)),
-                  ub_prof);
+  queue_->enqueue(upd_b, padded_range(std::size_t{n} * s), ub_prof);
 }
 
 void Hmm::finish() {

@@ -36,7 +36,7 @@ struct HmmModel {
 /// model and (optionally) the observation log-likelihood under the input
 /// model.
 [[nodiscard]] HmmModel baum_welch_reference(
-    const HmmModel& model, const std::vector<std::uint8_t>& obs,
+    const HmmModel& model, const std::vector<std::int32_t>& obs,
     double* log_likelihood = nullptr);
 
 class Hmm final : public Dwarf {
@@ -51,7 +51,8 @@ class Hmm final : public Dwarf {
   [[nodiscard]] static Params params_for(ProblemSize s);
 
   /// Custom model shape; setup(size) is the Table 2 preset
-  /// configure(params_for(size), kSeqLen).  States must fit a work-group.
+  /// configure(params_for(size), kSeqLen).  States must fit a work-group
+  /// of the bound device: bind() throws std::invalid_argument otherwise.
   void configure(const Params& params, std::size_t seq_len);
 
   [[nodiscard]] std::string name() const override { return "hmm"; }
@@ -67,6 +68,11 @@ class Hmm final : public Dwarf {
   }
   [[nodiscard]] std::size_t footprint_bytes(ProblemSize s) const override;
 
+  /// The generated observation sequence, one symbol in [0, symbols) each.
+  [[nodiscard]] const std::vector<std::int32_t>& observations() const {
+    return obs_;
+  }
+
   void setup(ProblemSize size) override;
   void bind(xcl::Context& ctx, xcl::Queue& q) override;
   void run() override;
@@ -78,7 +84,7 @@ class Hmm final : public Dwarf {
   Params params_;
   std::size_t seq_len_ = kSeqLen;
   HmmModel model_;
-  std::vector<std::uint8_t> obs_;
+  std::vector<std::int32_t> obs_;
   std::vector<float> new_a_;
   std::vector<float> new_b_;
 

@@ -109,40 +109,14 @@ xcl::Event KMeans::enqueue_assign(std::size_t begin, std::size_t end,
     member[i] = best_c;
   });
 
-  // Span tier (DESIGN.md §9): same arithmetic in the same order over the
-  // group's contiguous point run, but one call per group and restrict-
-  // qualified pointers so the feature-distance loop can vectorize.
-  assign.span([=](std::size_t lo, std::size_t hi) {
-    const float* EOD_RESTRICT feat = feats.data();
-    const float* EOD_RESTRICT cent = clus.data();
-    std::int32_t* EOD_RESTRICT member_out = member.data();
-    for (std::size_t i = begin + lo, last = std::min(begin + hi, end);
-         i < last; ++i) {
-      float best = HUGE_VALF;
-      std::int32_t best_c = 0;
-      for (unsigned c = 0; c < cn; ++c) {
-        float dist = 0.0f;
-        for (unsigned f = 0; f < fn; ++f) {
-          const float d = feat[i * fn + f] - cent[c * fn + f];
-          dist += d * d;
-        }
-        if (dist < best) {
-          best = dist;
-          best_c = static_cast<std::int32_t>(c);
-        }
-      }
-      member_out[i] = best_c;
-    }
-  });
-
-  // Simd tier (DESIGN.md §13): W points per step.  The feature rows of the
+  // Span tier (DESIGN.md §9): W points per step.  The feature rows of the
   // W points are transposed into per-feature lane vectors once, then every
   // centroid is scanned with the same subtract/square/accumulate sequence
   // the scalar body performs -- per lane the operation order is identical,
   // so the distances (and the < comparisons deciding membership) are
   // bit-exact.  The best/best_c running minimum uses mask selects, and the
   // sub-W tail runs the scalar loop verbatim.
-  assign.simd([=](std::size_t lo, std::size_t hi) {
+  assign.span([=](std::size_t lo, std::size_t hi) {
     namespace sv = xcl::simd;
     constexpr std::size_t W = sv::kLanes;
     constexpr unsigned kMaxFeatures = 32;

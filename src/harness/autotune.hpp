@@ -13,8 +13,6 @@
 #include <vector>
 
 #include "xcl/device.hpp"
-#include "xcl/executor.hpp"
-#include "xcl/kernel.hpp"
 #include "xcl/modeling.hpp"
 #include "xcl/ndrange.hpp"
 
@@ -38,30 +36,5 @@ struct TuneResult {
     const xcl::Device& device, std::size_t global_items,
     const xcl::WorkloadProfile& profile,
     const std::vector<std::size_t>& candidates = {8, 16, 32, 64, 128, 256});
-
-/// One measured dispatch-tier candidate (DESIGN.md §13).  Unlike the
-/// work-group sweep above, the tier sweep is *measured*, not modeled: the
-/// tiers differ in host-side execution strategy (per-item dispatch vs
-/// autovectorized span loop vs explicit vectors), which the device timing
-/// model deliberately does not see.
-struct TierTuneResult {
-  xcl::DispatchMode mode = xcl::DispatchMode::kItem;
-  double seconds = 0.0;  ///< best-of-reps wall time of one launch
-};
-
-/// Executes `kernel` over `range` under each tier the kernel offers (item
-/// always; span/simd when the corresponding body is registered) and
-/// returns all candidates sorted fastest-first.  Each candidate runs one
-/// warmup launch plus `reps` timed launches (best kept).  The kernel is
-/// executed for real: callers tune with an idempotent kernel or accept the
-/// buffer mutations.  The process dispatch mode is restored afterwards.
-[[nodiscard]] std::vector<TierTuneResult> sweep_dispatch_tiers(
-    const xcl::Kernel& kernel, const xcl::NDRange& range,
-    const xcl::Device& device, int reps = 3);
-
-/// The fastest tier for this kernel/range on this host.
-[[nodiscard]] TierTuneResult autotune_dispatch_tier(
-    const xcl::Kernel& kernel, const xcl::NDRange& range,
-    const xcl::Device& device, int reps = 3);
 
 }  // namespace eod::harness

@@ -164,8 +164,9 @@ std::string usage(const std::string& program) {
          "report path in the manifest\n"
          "--queue ooo lets dependency-expressed dwarfs overlap transfers\n"
          "with compute (EOD_QUEUE=ooo sets the default without the flag)\n"
-         "--dispatch simd runs hand-vectorized kernel bodies where a dwarf\n"
-         "provides one (EOD_DISPATCH pins the tier without the flag)\n"
+         "--dispatch item pins the per-item reference path (auto runs each\n"
+         "kernel's fast span body; EOD_DISPATCH sets the tier without the\n"
+         "flag)\n"
          "--devices partitions supporting dwarfs (nw, lud) across several\n"
          "simulated devices over the modeled interconnect (DESIGN.md 14)\n";
 }

@@ -95,7 +95,7 @@ Measurement measure(dwarfs::Dwarf& dwarf, dwarfs::ProblemSize size,
   }
 
   // Tier override for the functional pass, restored on every exit path.
-  // An unset option defers to default_dispatch_mode(), so `EOD_DISPATCH=simd
+  // An unset option defers to default_dispatch_mode(), so `EOD_DISPATCH=item
   // ctest` steers every measurement in the suite without the runner
   // stomping the hatch with kAuto.
   const xcl::DispatchMode dispatch =

@@ -33,7 +33,7 @@ namespace eod::xcl {
 
 class Buffer {
  public:
-  /// Host storage alignment: one cache line, so simd-tier vector loads and
+  /// Host storage alignment: one cache line, so span-body vector loads and
   /// stores (xcl/simd.hpp) starting at the buffer base never straddle a
   /// line.  clCreateBuffer makes the same guarantee on real runtimes.
   static constexpr std::size_t kHostAlignment = 64;

@@ -31,7 +31,6 @@ std::atomic<int> g_dispatch_mode{-1};
 obs::Counter& g_groups_loop = obs::counter("executor.groups_loop");
 obs::Counter& g_groups_fiber = obs::counter("executor.groups_fiber");
 obs::Counter& g_groups_span = obs::counter("executor.groups_span");
-obs::Counter& g_groups_simd = obs::counter("executor.groups_simd");
 obs::Counter& g_groups_checked = obs::counter("executor.groups_checked");
 obs::Counter& g_launches = obs::counter("executor.ndrange_launches");
 obs::Gauge& g_arena_hwm = obs::gauge("executor.arena_bytes_hwm");
@@ -121,26 +120,14 @@ void run_group_fibers(const Kernel& kernel, const GroupCoords& g,
 }
 
 // A launch may take the span tier when the kernel carries a span body, the
-// override does not force the per-item reference path, and the range is
-// effectively 1-D, so each group covers one contiguous [begin, end) run of
-// flat global ids.  Span bodies never touch the __local arena or the
+// override is kAuto (kItem and kChecked pin the per-item path), and the
+// range is effectively 1-D, so each group covers one contiguous
+// [begin, end) run of flat global ids.  Span bodies never touch the __local arena or the
 // barrier hook: a kernel whose group semantics depend on them supplies a
 // span body only if it reproduces those semantics itself (DESIGN.md §9).
 bool span_legal(const Kernel& kernel, const NDRange& range,
                 DispatchMode mode) {
-  return kernel.has_span() && mode != DispatchMode::kItem &&
-         mode != DispatchMode::kChecked && range.global(1) == 1 &&
-         range.global(2) == 1;
-}
-
-// The simd tier is never auto-selected: only an explicit kSimd (CLI flag or
-// EOD_DISPATCH) engages the hand-vectorized body.  Same 1-D contiguity
-// requirement as span; kernels without a simd body fall through to the
-// span-legality check above, so `--dispatch=simd` on a mixed workload runs
-// each kernel on the best tier it offers.
-bool simd_legal(const Kernel& kernel, const NDRange& range,
-                DispatchMode mode) {
-  return kernel.has_simd() && mode == DispatchMode::kSimd &&
+  return kernel.has_span() && mode == DispatchMode::kAuto &&
          range.global(1) == 1 && range.global(2) == 1;
 }
 
@@ -162,8 +149,6 @@ std::optional<DispatchMode> parse_dispatch_mode(
     std::string_view name) noexcept {
   if (name == "auto") return DispatchMode::kAuto;
   if (name == "item") return DispatchMode::kItem;
-  if (name == "span") return DispatchMode::kSpan;
-  if (name == "simd") return DispatchMode::kSimd;
   if (name == "checked") return DispatchMode::kChecked;
   return std::nullopt;
 }
@@ -172,10 +157,6 @@ const char* to_string(DispatchMode mode) noexcept {
   switch (mode) {
     case DispatchMode::kItem:
       return "item";
-    case DispatchMode::kSpan:
-      return "span";
-    case DispatchMode::kSimd:
-      return "simd";
     case DispatchMode::kChecked:
       return "checked";
     case DispatchMode::kAuto:
@@ -185,7 +166,7 @@ const char* to_string(DispatchMode mode) noexcept {
 }
 
 const char* dispatch_mode_names() noexcept {
-  return "auto|item|span|simd|checked";
+  return "auto|item|checked";
 }
 
 DispatchMode default_dispatch_mode() {
@@ -223,23 +204,6 @@ void execute_ndrange(const Kernel& kernel, const NDRange& range,
   }
 
   const DispatchMode mode = dispatch_mode();
-  if (simd_legal(kernel, range, mode)) {
-    // Same shape as the span fast path below: one RangeKernelRef call per
-    // group, no std::function on the hot path -- only the body differs
-    // (explicit vectors instead of an autovectorizable loop).
-    const Kernel::SpanBody& body = kernel.simd_body();
-    const RangeKernelRef simd = body;
-    const std::size_t lx = range.local(0);
-    obs::TraceSpan launch_span(kernel.name().c_str(), "launch:simd",
-                               "groups", static_cast<double>(groups));
-    tp.parallel_for(groups, [simd, lx](std::size_t flat) {
-      obs::TraceSpan group_span("group:simd", "executor");
-      simd(flat * lx, (flat + 1) * lx);
-      g_groups_simd.add(1);
-    });
-    return;
-  }
-
   if (span_legal(kernel, range, mode)) {
     // Hoist the std::function indirection out of the per-group path: the
     // workers call through a two-pointer RangeKernelRef only.
@@ -292,7 +256,6 @@ ExecutorStats executor_stats() {
   s.groups_loop = g_groups_loop.value();
   s.groups_fiber = g_groups_fiber.value();
   s.groups_span = g_groups_span.value();
-  s.groups_simd = g_groups_simd.value();
   s.groups_checked = g_groups_checked.value();
   s.arena_bytes_hwm = static_cast<std::uint64_t>(g_arena_hwm.value());
   s.fiber_stacks_created = fiber_stacks_created();
@@ -305,7 +268,6 @@ void reset_executor_stats() {
   g_groups_loop.reset();
   g_groups_fiber.reset();
   g_groups_span.reset();
-  g_groups_simd.reset();
   g_groups_checked.reset();
   g_launches.reset();
   g_arena_hwm.reset();

@@ -6,11 +6,13 @@
 // *span* body -- a whole-group formulation called once per work-group with
 // the contiguous [begin, end) run of flat global ids that group covers.
 // The span tier is the vectorization story of DESIGN.md §9: a single call
-// per group amortizes all dispatch overhead and hands the compiler a
-// contiguous counted loop over EOD_RESTRICT-qualified pointers that it can
-// auto-vectorize, while the per-item body remains as the bit-identical
-// reference path (and the only path for non-1-D ranges or when the
-// dispatch-mode override forces per-item execution).
+// per group amortizes all dispatch overhead, and the body is either a
+// contiguous counted loop over EOD_RESTRICT-qualified pointers the
+// compiler can auto-vectorize or explicit lane vectors (xcl/simd.hpp) --
+// one body per kernel, whichever measured faster.  The per-item body
+// remains as the bit-identical reference path (and the only path for
+// non-1-D ranges or when the dispatch-mode override forces per-item
+// execution).
 #pragma once
 
 #include <cstddef>
@@ -78,23 +80,13 @@ class Kernel {
     return *this;
   }
 
-  /// Registers the span-tier formulation.  The author asserts it computes
-  /// bit-identical results to running the per-item body over the same
-  /// group (including, for barrier kernels, any intra-group ordering the
-  /// barriers enforced -- see DESIGN.md §9 for the legality rules).
+  /// Registers the kernel's one whole-group formulation.  The author
+  /// asserts it computes bit-identical results to running the per-item
+  /// body over the same group, scalar tails included (and, for barrier
+  /// kernels, any intra-group ordering the barriers enforced -- see
+  /// DESIGN.md §9 for the legality and determinism rules).
   Kernel& span(SpanBody body) {
     span_body_ = std::move(body);
-    return *this;
-  }
-
-  /// Registers the explicit-SIMD formulation (DESIGN.md §13): same
-  /// whole-group [begin, end) contract as span(), but the body is written
-  /// with the portable vectors of xcl/simd.hpp rather than relying on the
-  /// autovectorizer.  Same determinism promise as span(): bit-identical
-  /// results to the per-item reference body, including the scalar tail.
-  /// Only the kSimd dispatch mode selects this body.
-  Kernel& simd(SpanBody body) {
-    simd_body_ = std::move(body);
     return *this;
   }
 
@@ -107,18 +99,11 @@ class Kernel {
   [[nodiscard]] const SpanBody& span_body() const noexcept {
     return span_body_;
   }
-  [[nodiscard]] bool has_simd() const noexcept {
-    return static_cast<bool>(simd_body_);
-  }
-  [[nodiscard]] const SpanBody& simd_body() const noexcept {
-    return simd_body_;
-  }
 
  private:
   std::string name_;
   Body body_;
   SpanBody span_body_;
-  SpanBody simd_body_;
   bool uses_barriers_ = false;
 };
 

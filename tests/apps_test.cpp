@@ -37,6 +37,18 @@ TEST(SplitArgs, EmptyBenchmarkSection) {
   EXPECT_TRUE(s.benchmark_args.empty());
 }
 
+// A retired or misspelled tier is an argument error naming the legal set;
+// every app's handler prints it and exits 2 before any setup runs.
+TEST(SplitArgs, UnknownDispatchModeIsRejectedNamingTheLegalSet) {
+  const char* argv[] = {"kmeans", "--dispatch", "simd", "--", "-g"};
+  try {
+    (void)split_args(static_cast<int>(std::size(argv)), argv);
+    FAIL() << "--dispatch simd was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "bad --dispatch (auto|item|checked): simd");
+  }
+}
+
 TEST(Helpers, ArgOrAndFlags) {
   const std::vector<std::string> args = {"100", "32", "-v", "s"};
   EXPECT_EQ(arg_or(args, 0, "x"), "100");

@@ -303,9 +303,9 @@ TEST(HmmModel, GeneratorRowsAreStochastic) {
 
 TEST(HmmReference, UpdateKeepsRowsStochastic) {
   const HmmModel m = generate_hmm(8, 3, 123);
-  std::vector<std::uint8_t> obs(64);
+  std::vector<std::int32_t> obs(64);
   SplitMix64 rng(9);
-  for (auto& o : obs) o = static_cast<std::uint8_t>(rng.below(3));
+  for (auto& o : obs) o = static_cast<std::int32_t>(rng.below(3));
   const HmmModel next = baum_welch_reference(m, obs);
   for (unsigned i = 0; i < 8; ++i) {
     double row_a = 0.0;
@@ -321,9 +321,9 @@ TEST(HmmReference, LikelihoodImprovesAcrossIterations) {
   // The EM property: each Baum-Welch iteration must not decrease the
   // observation likelihood.
   HmmModel m = generate_hmm(6, 4, 55);
-  std::vector<std::uint8_t> obs(48);
+  std::vector<std::int32_t> obs(48);
   SplitMix64 rng(10);
-  for (auto& o : obs) o = static_cast<std::uint8_t>(rng.below(4));
+  for (auto& o : obs) o = static_cast<std::int32_t>(rng.below(4));
   double prev = -HUGE_VAL;
   for (int iter = 0; iter < 5; ++iter) {
     double ll = 0.0;

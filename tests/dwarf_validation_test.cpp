@@ -7,7 +7,9 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <stdexcept>
 
+#include "dwarfs/hmm/hmm.hpp"
 #include "dwarfs/kmeans/kmeans.hpp"
 #include "dwarfs/registry.hpp"
 #include "harness/problem_size.hpp"
@@ -267,6 +269,57 @@ TEST(SizeMethodology, Table2HasAllBenchmarks) {
     EXPECT_EQ(row.scale.size(), row.sizes.size());
     EXPECT_EQ(row.footprint.size(), row.sizes.size());
   }
+}
+
+// hmm_app's Table 3 arguments beyond the presets: element counts that are
+// not multiples of the 64-item groups (-n 10 -s 16: 100 and 160 elements;
+// -t 100) run on padded ranges, and symbols past 255 (-s 300) keep their
+// identity instead of folding modulo 256.
+TEST(HmmArguments, OddShapesAndWideAlphabetsValidate) {
+  struct Cell {
+    unsigned states;
+    unsigned symbols;
+    std::size_t seq_len;
+  };
+  for (const Cell c : {Cell{10, 16, Hmm::kSeqLen}, Cell{8, 1, 100},
+                       Cell{8, 300, Hmm::kSeqLen}}) {
+    SCOPED_TRACE("-n " + std::to_string(c.states) + " -s " +
+                 std::to_string(c.symbols) + " -t " +
+                 std::to_string(c.seq_len));
+    Hmm hmm;
+    hmm.configure({c.states, c.symbols}, c.seq_len);
+    xcl::Context ctx(host_device());
+    xcl::Queue q(ctx);
+    hmm.bind(ctx, q);
+    hmm.run();
+    hmm.finish();
+    const Validation v = hmm.validate();
+    EXPECT_TRUE(v.ok) << v.detail;
+    hmm.unbind();
+    const auto& obs = hmm.observations();
+    EXPECT_EQ(obs.size(), c.seq_len);
+    EXPECT_EQ(*std::max_element(obs.begin(), obs.end()) >= 256,
+              c.symbols > 256);
+  }
+}
+
+// More states than the device's work-group limit is rejected at bind(),
+// before any command is enqueued, with a message naming limit and device.
+TEST(HmmArguments, StatesBeyondTheWorkGroupLimitAreRejectedAtBind) {
+  Hmm hmm;
+  hmm.configure({1025, 1}, Hmm::kSeqLen);
+  xcl::Context ctx(host_device());
+  xcl::Queue q(ctx);
+  try {
+    hmm.bind(ctx, q);
+    FAIL() << "bind accepted 1025 states";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("1024"), std::string::npos) << what;
+    EXPECT_NE(what.find("i7-6700K"), std::string::npos) << what;
+  }
+  EXPECT_EQ(q.event_count(), 0u);
+  EXPECT_EQ(ctx.allocated_bytes(), 0u);
 }
 
 }  // namespace

@@ -255,7 +255,7 @@ TEST(PartitionedNw, SpanDispatchPreservesTheSignature) {
   nw.configure(kN, 10);
   harness::PartitionOptions opts;
   opts.validate = true;
-  opts.dispatch = xcl::DispatchMode::kSpan;
+  opts.dispatch = xcl::DispatchMode::kAuto;
   const harness::PartitionedResult r = harness::run_partitioned_nw(
       nw, fleet({"GTX 1080", "GTX 1080"}), opts);
   EXPECT_TRUE(r.validation.ok);

@@ -553,7 +553,7 @@ TEST(ObsRoundTrip, MeasureWritesTraceMetricsAndManifest) {
   EXPECT_EQ(manifest.at("device").str, "i7-6700K");
   // measure() resolves an unset MeasureOptions::dispatch through the
   // EOD_DISPATCH hatch, so the recorded tier follows the environment
-  // (CI's simd-mode job runs this test under EOD_DISPATCH=simd).
+  // (e.g. EOD_DISPATCH=item ctest).
   EXPECT_EQ(manifest.at("dispatch").str,
             xcl::to_string(xcl::default_dispatch_mode()));
   if (const char* env = std::getenv("EOD_DISPATCH")) {

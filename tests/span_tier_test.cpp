@@ -1,26 +1,43 @@
 // Span-tier equivalence suite (DESIGN.md §9): every dwarf that registers a
 // span kernel must reproduce the per-item reference path bit-identically.
-// For each (dwarf, size) cell the benchmark runs twice from an identical
+// Each kernel carries one fast body -- an autovectorizable loop or, where
+// that measured slower, explicit lane vectors with masked selects and
+// sliced tables -- and every float and integer it produces must match the
+// scalar loop bit for bit (signed zeros, NaN payloads and all).  For each
+// (dwarf, size) cell the benchmark runs twice from an identical
 // deterministic setup -- once with --dispatch=item (the per-item loop/fiber
-// reference) and once with --dispatch=span -- and the test pins:
+// reference) and once with --dispatch=auto -- and the test pins:
 //   * result_signature(): an order-sensitive byte hash of the output
 //     vectors, so "equal" means every float/int is bit-identical;
 //   * validation against the serial reference in both modes;
-//   * that the span run actually took the span tier (groups_span delta);
+//   * that the auto run actually took the span tier (groups_span delta);
 //   * the memory-trace content key and the replayed warm cache counters,
-//     which must not depend on the dispatch tier at all.
+//     which must not depend on the dispatch tier at all;
+// The dwarfs whose span body is built on explicit lane vectors
+// (xcl/simd.hpp) are pinned again at custom lane-unaligned extents, so the
+// vector main loop AND its scalar tail both run at every lane width; plus
+// queue/tier composition: bit-equivalence holds on an out-of-order queue,
+// and an active CheckSession overrides kAuto.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <optional>
 #include <ostream>
+#include <string>
 #include <vector>
 
 #include "dwarfs/common.hpp"
+#include "dwarfs/crc/crc.hpp"
+#include "dwarfs/gem/gem.hpp"
+#include "dwarfs/kmeans/kmeans.hpp"
 #include "dwarfs/registry.hpp"
+#include "dwarfs/srad/srad.hpp"
 #include "sim/device_spec.hpp"
 #include "sim/replay_cache.hpp"
 #include "sim/testbed.hpp"
+#include "xcl/check/session.hpp"
 #include "xcl/context.hpp"
 #include "xcl/executor.hpp"
 #include "xcl/queue.hpp"
@@ -30,7 +47,7 @@ namespace {
 using eod::dwarfs::ProblemSize;
 
 // Replays are memoized process-wide by trace content + geometry, so the
-// span-mode replay of an identical trace is a memo hit -- the counter
+// auto-mode replay of an identical trace is a memo hit -- the counter
 // comparison is really a trace-bit-identity proof plus the replay
 // determinism that cache_replay_test pins separately.
 constexpr std::size_t kMaxReplayAccesses = 20'000'000;
@@ -44,48 +61,80 @@ struct RunOutcome {
   std::optional<eod::sim::HierarchyCounters> warm;
 };
 
-RunOutcome run_once(const char* name, ProblemSize size,
-                    eod::xcl::DispatchMode mode) {
+// Runs an already set-up (or configured) dwarf once under `mode`.
+RunOutcome run_dwarf(eod::dwarfs::Dwarf& dwarf, eod::xcl::DispatchMode mode,
+                     std::optional<eod::xcl::QueueMode> queue_mode) {
   struct ModeGuard {
     eod::xcl::DispatchMode prev = eod::xcl::dispatch_mode();
     ~ModeGuard() { eod::xcl::set_dispatch_mode(prev); }
   } guard;
   eod::xcl::set_dispatch_mode(mode);
 
-  auto dwarf = eod::dwarfs::create_dwarf(name);
-  dwarf->setup(size);
-
   eod::xcl::Device& dev = eod::sim::testbed_device("i7-6700K");
   eod::xcl::Context ctx(dev);
-  eod::xcl::Queue q(ctx);
-  dwarf->bind(ctx, q);
+  eod::xcl::Queue q(ctx, queue_mode);
+  dwarf.bind(ctx, q);
 
   // The delta brackets run() AND finish(): an out-of-order queue
   // (EOD_QUEUE=ooo) defers kernel execution to the sync point inside
   // finish(), so snapshotting after run() alone would miss every group.
   const eod::xcl::ExecutorStats before = eod::xcl::executor_stats();
-  dwarf->run();
-  dwarf->finish();
+  dwarf.run();
+  dwarf.finish();
   const eod::xcl::ExecutorStats after = eod::xcl::executor_stats();
 
   RunOutcome out;
-  out.ok = dwarf->validate().ok;
-  out.signature = dwarf->result_signature();
+  out.ok = dwarf.validate().ok;
+  out.signature = dwarf.result_signature();
   out.span_groups = after.groups_span - before.groups_span;
   out.other_groups = (after.groups_loop - before.groups_loop) +
                      (after.groups_fiber - before.groups_fiber);
 
-  const std::size_t hint = dwarf->trace_size_hint();
+  const std::size_t hint = dwarf.trace_size_hint();
   if (hint > 0 && hint <= kMaxReplayAccesses) {
-    auto gen = [&dwarf](eod::sim::TraceWriter& w) { dwarf->stream_trace(w); };
+    auto gen = [&dwarf](eod::sim::TraceWriter& w) { dwarf.stream_trace(w); };
     out.trace = eod::sim::hash_trace(gen);
     out.warm = eod::sim::memoized_replay(gen,
                                          eod::sim::spec_by_name("i7-6700K"),
-                                         std::string(name) + "/span-eq")
+                                         dwarf.name() + "/span-eq")
                    .warm;
   }
-  dwarf->unbind();
+  dwarf.unbind();
   return out;
+}
+
+RunOutcome run_once(const char* name, ProblemSize size,
+                    eod::xcl::DispatchMode mode,
+                    std::optional<eod::xcl::QueueMode> queue_mode =
+                        std::nullopt) {
+  auto dwarf = eod::dwarfs::create_dwarf(name);
+  dwarf->setup(size);
+  return run_dwarf(*dwarf, mode, queue_mode);
+}
+
+// Both tiers validate, only the auto run takes the span tier, and the
+// output bytes, memory trace and replayed warm counters are identical.
+void expect_fast_matches_item(const RunOutcome& item, const RunOutcome& fast) {
+  // Both tiers pass serial-reference validation...
+  EXPECT_TRUE(item.ok);
+  EXPECT_TRUE(fast.ok);
+  // ...and the tiers really differed: item pinned the reference path,
+  // auto dispatched every group of the converted kernels as one call.
+  EXPECT_EQ(item.span_groups, 0u);
+  EXPECT_GT(fast.span_groups, 0u);
+
+  // Byte-exact output equivalence, not tolerance-based validation.
+  ASSERT_NE(item.signature, 0u);
+  EXPECT_EQ(fast.signature, item.signature);
+
+  // The memory trace (and therefore every replayed cache counter) is a
+  // function of the benchmark's data, not of the dispatch tier.
+  ASSERT_EQ(item.trace.has_value(), fast.trace.has_value());
+  if (item.trace.has_value()) {
+    EXPECT_EQ(item.trace->content_hash, fast.trace->content_hash);
+    EXPECT_EQ(item.trace->accesses, fast.trace->accesses);
+    EXPECT_EQ(*item.warm, *fast.warm);
+  }
 }
 
 struct SpanCase {
@@ -131,28 +180,8 @@ TEST_P(SpanTier, SpanMatchesItemReferenceBitExactly) {
     const RunOutcome item =
         run_once(c.name, size, eod::xcl::DispatchMode::kItem);
     const RunOutcome span =
-        run_once(c.name, size, eod::xcl::DispatchMode::kSpan);
-
-    // Both tiers pass serial-reference validation...
-    EXPECT_TRUE(item.ok);
-    EXPECT_TRUE(span.ok);
-    // ...and the tiers really differed: item pinned the reference path,
-    // span dispatched every group of the converted kernels as one call.
-    EXPECT_EQ(item.span_groups, 0u);
-    EXPECT_GT(span.span_groups, 0u);
-
-    // Byte-exact output equivalence, not tolerance-based validation.
-    ASSERT_NE(item.signature, 0u);
-    EXPECT_EQ(span.signature, item.signature);
-
-    // The memory trace (and therefore every replayed cache counter) is a
-    // function of the benchmark's data, not of the dispatch tier.
-    ASSERT_EQ(item.trace.has_value(), span.trace.has_value());
-    if (item.trace.has_value()) {
-      EXPECT_EQ(item.trace->content_hash, span.trace->content_hash);
-      EXPECT_EQ(item.trace->accesses, span.trace->accesses);
-      EXPECT_EQ(*item.warm, *span.warm);
-    }
+        run_once(c.name, size, eod::xcl::DispatchMode::kAuto);
+    expect_fast_matches_item(item, span);
   }
 }
 
@@ -162,16 +191,86 @@ INSTANTIATE_TEST_SUITE_P(ConvertedDwarfs, SpanTier,
                            return std::string(ti.param.name);
                          });
 
-// kAuto behaves exactly like kSpan for legal launches: same outputs, same
-// span-group accounting.
+// The explicit-vector span bodies step W = simd::kLanes elements at a time
+// and finish the sub-W remainder with the scalar loop.  The preset sizes
+// are mostly lane multiples, so these cells configure extents that are
+// not -- prime point/vertex/column counts, byte counts off the slice-by-8
+// stride and the page size -- and the tail runs at every lane width.
+struct SimdCase {
+  const char* name;
+  std::vector<std::function<std::unique_ptr<eod::dwarfs::Dwarf>()>> extents;
+};
+
+void PrintTo(const SimdCase& c, std::ostream* os) {
+  *os << '"' << c.name << '"';
+}
+
+std::unique_ptr<eod::dwarfs::Dwarf> kmeans_with(std::size_t points,
+                                                unsigned features) {
+  auto d = std::make_unique<eod::dwarfs::KMeans>();
+  eod::dwarfs::KMeans::Params p;
+  p.points = points;
+  p.features = features;
+  p.rounds = 3;
+  d->configure(p);
+  return d;
+}
+
+std::unique_ptr<eod::dwarfs::Dwarf> crc_with(std::size_t bytes) {
+  auto d = std::make_unique<eod::dwarfs::Crc>();
+  d->configure(bytes);
+  return d;
+}
+
+std::unique_ptr<eod::dwarfs::Dwarf> srad_with(std::size_t rows,
+                                              std::size_t cols) {
+  auto d = std::make_unique<eod::dwarfs::Srad>();
+  d->configure({rows, cols, eod::dwarfs::Srad::kLambda, 2});
+  return d;
+}
+
+std::unique_ptr<eod::dwarfs::Dwarf> gem_with(std::size_t atoms) {
+  auto d = std::make_unique<eod::dwarfs::Gem>();
+  d->configure(atoms);
+  return d;
+}
+
+const SimdCase kSimdCases[] = {
+    {"kmeans",
+     {[] { return kmeans_with(1021, 26); }, [] { return kmeans_with(7, 3); }}},
+    {"crc", {[] { return crc_with(100003); }, [] { return crc_with(13); }}},
+    {"srad", {[] { return srad_with(67, 61); }, [] { return srad_with(5, 3); }}},
+    {"gem", {[] { return gem_with(203); }, [] { return gem_with(3); }}},
+};
+
+class SimdTier : public ::testing::TestWithParam<SimdCase> {};
+
+TEST_P(SimdTier, SimdMatchesItemReferenceBitExactly) {
+  const SimdCase& c = GetParam();
+  for (std::size_t e = 0; e < c.extents.size(); ++e) {
+    SCOPED_TRACE(std::string(c.name) + " extent #" + std::to_string(e));
+    const auto item_dwarf = c.extents[e]();
+    const auto fast_dwarf = c.extents[e]();
+    expect_fast_matches_item(
+        run_dwarf(*item_dwarf, eod::xcl::DispatchMode::kItem, std::nullopt),
+        run_dwarf(*fast_dwarf, eod::xcl::DispatchMode::kAuto, std::nullopt));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(VectorizedDwarfs, SimdTier,
+                         ::testing::ValuesIn(kSimdCases),
+                         [](const auto& ti) {
+                           return std::string(ti.param.name);
+                         });
+
+// kAuto runs every group of a fully converted dwarf as one span call:
+// nothing falls back to the loop or fiber tiers.
 TEST(SpanTierAuto, AutoSelectsSpanWhereLegal) {
   const RunOutcome a =
       run_once("kmeans", ProblemSize::kTiny, eod::xcl::DispatchMode::kAuto);
-  const RunOutcome s =
-      run_once("kmeans", ProblemSize::kTiny, eod::xcl::DispatchMode::kSpan);
-  EXPECT_EQ(a.signature, s.signature);
-  EXPECT_EQ(a.span_groups, s.span_groups);
+  EXPECT_TRUE(a.ok);
   EXPECT_GT(a.span_groups, 0u);
+  EXPECT_EQ(a.other_groups, 0u);
 }
 
 // Dwarfs without a span body are untouched by the override: hmm's
@@ -180,10 +279,57 @@ TEST(SpanTierAuto, AutoSelectsSpanWhereLegal) {
 // multi-device path, DESIGN.md §14.)
 TEST(SpanTierAuto, NonConvertedDwarfKeepsReferencePath) {
   const RunOutcome a =
-      run_once("hmm", ProblemSize::kTiny, eod::xcl::DispatchMode::kSpan);
+      run_once("hmm", ProblemSize::kTiny, eod::xcl::DispatchMode::kAuto);
   EXPECT_TRUE(a.ok);
   EXPECT_EQ(a.span_groups, 0u);
   EXPECT_GT(a.other_groups, 0u);
+}
+
+// Bit-equivalence must survive queue-mode composition: the out-of-order
+// queue defers and reorders kernel execution behind the event DAG, and the
+// span bodies must still land the exact reference bytes.
+TEST(SpanTierComposition, BitExactOnOutOfOrderQueue) {
+  for (const char* name : {"kmeans", "srad", "crc", "gem"}) {
+    SCOPED_TRACE(name);
+    const RunOutcome item =
+        run_once(name, ProblemSize::kSmall, eod::xcl::DispatchMode::kItem,
+                 eod::xcl::QueueMode::kOutOfOrder);
+    const RunOutcome fast =
+        run_once(name, ProblemSize::kSmall, eod::xcl::DispatchMode::kAuto,
+                 eod::xcl::QueueMode::kOutOfOrder);
+    EXPECT_TRUE(item.ok);
+    EXPECT_TRUE(fast.ok);
+    EXPECT_GT(fast.span_groups, 0u);
+    ASSERT_NE(item.signature, 0u);
+    EXPECT_EQ(fast.signature, item.signature);
+  }
+}
+
+// An active CheckSession is authoritative over every dispatch mode: the
+// checker cannot be dodged by the fast span bodies.
+TEST(SpanTierComposition, ActiveCheckSessionOverridesAuto) {
+  struct ModeGuard {
+    eod::xcl::DispatchMode prev = eod::xcl::dispatch_mode();
+    ~ModeGuard() { eod::xcl::set_dispatch_mode(prev); }
+  } guard;
+  eod::xcl::set_dispatch_mode(eod::xcl::DispatchMode::kAuto);
+  eod::xcl::check::CheckSession session;
+
+  auto dwarf = eod::dwarfs::create_dwarf("kmeans");
+  dwarf->setup(ProblemSize::kTiny);
+  eod::xcl::Device& dev = eod::sim::testbed_device("i7-6700K");
+  eod::xcl::Context ctx(dev);
+  eod::xcl::Queue q(ctx);
+  dwarf->bind(ctx, q);
+  const eod::xcl::ExecutorStats before = eod::xcl::executor_stats();
+  dwarf->run();
+  dwarf->finish();
+  const eod::xcl::ExecutorStats after = eod::xcl::executor_stats();
+  EXPECT_GT(after.groups_checked - before.groups_checked, 0u);
+  EXPECT_EQ(after.groups_span - before.groups_span, 0u);
+  EXPECT_TRUE(dwarf->validate().ok);
+  EXPECT_TRUE(session.report().clean()) << session.report().to_text();
+  dwarf->unbind();
 }
 
 }  // namespace

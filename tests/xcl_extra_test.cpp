@@ -204,6 +204,7 @@ struct ScopedDispatchMode {
 };
 
 TEST(SpanTier, GroupsArriveAsContiguousRuns) {
+  ScopedDispatchMode mode(DispatchMode::kAuto);
   Context ctx(dev());
   Queue q(ctx);
   constexpr std::size_t kN = 1000;  // padded: last group is a tail
@@ -248,6 +249,7 @@ TEST(SpanTier, ItemOverridePinsTheReferencePath) {
 }
 
 TEST(SpanTier, MultiDimensionalRangesFallBackToPerItem) {
+  ScopedDispatchMode mode(DispatchMode::kAuto);
   Context ctx(dev());
   Queue q(ctx);
   std::atomic<int> item_calls{0};
@@ -261,6 +263,7 @@ TEST(SpanTier, MultiDimensionalRangesFallBackToPerItem) {
 }
 
 TEST(SpanTier, BarrierKernelWithSpanBodySkipsFibers) {
+  ScopedDispatchMode mode(DispatchMode::kAuto);
   Context ctx(dev());
   Queue q(ctx);
   std::atomic<int> span_calls{0};
@@ -279,21 +282,21 @@ TEST(SpanTier, BarrierKernelWithSpanBodySkipsFibers) {
 TEST(SpanTier, ParseAndPrintModeNames) {
   EXPECT_EQ(parse_dispatch_mode("auto"), DispatchMode::kAuto);
   EXPECT_EQ(parse_dispatch_mode("item"), DispatchMode::kItem);
-  EXPECT_EQ(parse_dispatch_mode("span"), DispatchMode::kSpan);
-  EXPECT_EQ(parse_dispatch_mode("simd"), DispatchMode::kSimd);
   EXPECT_EQ(parse_dispatch_mode("checked"), DispatchMode::kChecked);
   EXPECT_FALSE(parse_dispatch_mode("fibers").has_value());
+  // Each kernel has one fast body, which kAuto runs: there is no separate
+  // span or simd mode to select.
+  EXPECT_FALSE(parse_dispatch_mode("span").has_value());
+  EXPECT_FALSE(parse_dispatch_mode("simd").has_value());
   EXPECT_STREQ(to_string(DispatchMode::kAuto), "auto");
   EXPECT_STREQ(to_string(DispatchMode::kItem), "item");
-  EXPECT_STREQ(to_string(DispatchMode::kSpan), "span");
-  EXPECT_STREQ(to_string(DispatchMode::kSimd), "simd");
   EXPECT_STREQ(to_string(DispatchMode::kChecked), "checked");
   // The CLI error message and --help text are built from this list; every
   // parseable mode must appear in it.
-  EXPECT_STREQ(dispatch_mode_names(), "auto|item|span|simd|checked");
+  EXPECT_STREQ(dispatch_mode_names(), "auto|item|checked");
 }
 
-// Host allocations back the explicit-vector loads/stores of the simd tier;
+// Host allocations back the explicit-vector loads/stores of span bodies;
 // every Buffer must hand out 64-byte-aligned storage (a cache line, and
 // enough for any EOD_SIMD_WIDTH up to 16 floats) regardless of size.
 TEST(BufferAlignment, HostStorageIsCacheLineAligned) {
