@@ -2,7 +2,9 @@
 // accesses/second for the seed per-access callback pipeline vs the batched
 // raw-page path vs the line-coalesced path, on a DRAM-resident streaming
 // trace (64 MiB sweep: misses every level of the Skylake hierarchy), plus
-// the single-generation multi-hierarchy fan-out across the whole testbed.
+// the single-generation multi-hierarchy fan-out across the whole testbed,
+// and a page-strided trace whose every access changes page (the data-TLB
+// path the streaming sweep touches once per 64 lines).
 //
 // Items/s in the report IS accesses/s; the PR acceptance bar is coalesced
 // >= 10x the seed per-access rate.
@@ -29,6 +31,21 @@ constexpr std::uint64_t kWindowBytes = 64ull << 20;
 constexpr std::uint64_t kAccessesPerSweep = kWindowBytes / 4;
 
 void generate(TraceWriter& w) { w.emit_run(kBase, 4, kAccessesPerSweep, false); }
+
+// The TLB workload: one 4-byte access per 4 KiB page, cycling over a
+// 96-page window (beyond the 64-entry TLB), so every access misses the TLB
+// and evicts its LRU entry.  The line inside each page moves every sweep,
+// which keeps the cache sets spread.
+constexpr std::uint64_t kStridedPages = 96;
+constexpr std::uint64_t kStridedAccesses = 1ull << 22;
+
+void generate_page_strided(TraceWriter& w) {
+  for (std::uint64_t i = 0; i < kStridedAccesses; ++i) {
+    const std::uint64_t page = i % kStridedPages;
+    const std::uint64_t line = (i / kStridedPages + page) % 64;
+    w.emit(kBase + page * 4096 + line * 64, 4, false);
+  }
+}
 
 // ---- seed baseline -------------------------------------------------------
 // Faithful replica of the seed pipeline's per-access path: AoS ways,
@@ -170,16 +187,17 @@ void BM_BatchedRawReplay(benchmark::State& state) {
 }
 BENCHMARK(BM_BatchedRawReplay)->Unit(benchmark::kMillisecond);
 
+struct CoalescedHierarchySink final : CoalescedSink {
+  CacheHierarchy* h = nullptr;
+  void consume(const CoalescedAccess* page, std::size_t n) override {
+    h->consume_coalesced(page, n);
+  }
+};
+
 void BM_CoalescedReplay(benchmark::State& state) {
-  struct Sink final : CoalescedSink {
-    CacheHierarchy* h = nullptr;
-    void consume(const CoalescedAccess* page, std::size_t n) override {
-      h->consume_coalesced(page, n);
-    }
-  };
   for (auto _ : state) {
     CacheHierarchy h(skylake());
-    Sink sink;
+    CoalescedHierarchySink sink;
     sink.h = &h;
     TraceWriter writer(sink);
     generate(writer);
@@ -190,6 +208,21 @@ void BM_CoalescedReplay(benchmark::State& state) {
                           static_cast<std::int64_t>(kAccessesPerSweep));
 }
 BENCHMARK(BM_CoalescedReplay)->Unit(benchmark::kMillisecond);
+
+void BM_PageStridedCoalescedReplay(benchmark::State& state) {
+  for (auto _ : state) {
+    CacheHierarchy h(skylake());
+    CoalescedHierarchySink sink;
+    sink.h = &h;
+    TraceWriter writer(sink);
+    generate_page_strided(writer);
+    writer.finish();
+    benchmark::DoNotOptimize(h.counters());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kStridedAccesses));
+}
+BENCHMARK(BM_PageStridedCoalescedReplay)->Unit(benchmark::kMillisecond);
 
 void BM_FanOutAllHierarchies(benchmark::State& state) {
   // One generation feeding the whole 15-device testbed (cold + warm pass

@@ -1,6 +1,8 @@
 #include "dwarfs/csr/csr.hpp"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 
 #include "xcl/kernel.hpp"
 
@@ -67,6 +69,12 @@ void Csr::configure_with_matrix(CsrMatrix matrix) {
 }
 
 void Csr::configure(std::size_t n, double density) {
+  // density > 1 asks for more distinct columns per row than exist.
+  if (n == 0 || !(density >= 0.0 && density <= 1.0)) {
+    throw std::invalid_argument(
+        "csr: needs n >= 1 and 0 <= density <= 1; got n=" + std::to_string(n) +
+        " density=" + std::to_string(density));
+  }
   m_ = create_csr(n, density, 0x637372ull);  // "csr"
   SplitMix64 rng(0x637372aaull);
   x_.resize(n);

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "xcl/kernel.hpp"
 #include "xcl/simd.hpp"
@@ -54,6 +56,15 @@ std::size_t KMeans::footprint_bytes(ProblemSize s) const {
 void KMeans::setup(ProblemSize size) { configure(params_for(size)); }
 
 void KMeans::configure(const Params& params) {
+  // The starting centroids are the first `clusters` points.
+  if (params.features == 0 || params.clusters == 0 ||
+      params.points < params.clusters) {
+    throw std::invalid_argument(
+        "kmeans: needs features >= 1 and points >= clusters (" +
+        std::to_string(params.clusters) + "); got features=" +
+        std::to_string(params.features) +
+        " points=" + std::to_string(params.points));
+  }
   params_ = params;
   SplitMix64 rng(kSeed);
   features_.resize(params_.points * params_.features);

@@ -36,15 +36,72 @@ CacheLevel::CacheLevel(std::size_t size_bytes, unsigned line_bytes,
   stamps_.assign(lines, 0);
 }
 
+LruTlb::LruTlb(unsigned entries) {
+  if (entries == 0) {
+    throw std::invalid_argument("TLB entries must be positive");
+  }
+  entries_.resize(entries);
+  // At most a quarter full: probe chains stay about one slot long.
+  const std::size_t slots = std::size_t{4} << log2_pow2(entries);
+  slots_.assign(slots, kNone);
+  slot_mask_ = slots - 1;
+  slot_shift_ = 64 - log2_pow2(slots);
+}
+
+void LruTlb::install(std::uint64_t page) noexcept {
+  std::uint32_t e;
+  if (used_ < entries_.size()) {
+    e = used_++;
+    Entry& x = entries_[e];
+    x.prev = kNone;
+    x.next = head_;
+    if (head_ == kNone) {
+      tail_ = e;
+    } else {
+      entries_[head_].prev = e;
+    }
+    head_ = e;
+  } else {
+    e = tail_;
+    erase_slot_of(entries_[e].page);
+    to_front(e);
+  }
+  entries_[e].page = page;
+  std::size_t s = home(page);
+  while (slots_[s] != kNone) s = (s + 1) & slot_mask_;
+  slots_[s] = e;
+}
+
+void LruTlb::erase_slot_of(std::uint64_t page) noexcept {
+  std::size_t hole = home(page);
+  while (entries_[slots_[hole]].page != page) {
+    hole = (hole + 1) & slot_mask_;
+  }
+  // Backward-shift deletion: pull each later entry of the probe run into
+  // the hole unless that would move it before its home slot, so every
+  // lookup still finds its page without tombstones.
+  for (std::size_t s = (hole + 1) & slot_mask_; slots_[s] != kNone;
+       s = (s + 1) & slot_mask_) {
+    const std::size_t h = home(entries_[slots_[s]].page);
+    if (((s - h) & slot_mask_) >= ((s - hole) & slot_mask_)) {
+      slots_[hole] = slots_[s];
+      hole = s;
+    }
+  }
+  slots_[hole] = kNone;
+}
+
 CacheHierarchy::CacheHierarchy(const DeviceSpec& spec, unsigned tlb_entries,
                                unsigned page_bytes)
     : l1_(spec.l1.size_bytes, spec.l1.line_bytes, spec.l1.associativity),
       l2_(spec.l2.size_bytes, spec.l2.line_bytes, spec.l2.associativity),
       // Data TLBs are (near-)fully associative; set-indexing one would
       // alias page-aligned array strides into false conflicts.
-      tlb_(static_cast<std::size_t>(tlb_entries) * page_bytes, page_bytes,
-           tlb_entries),
-      page_bytes_(page_bytes) {
+      tlb_(tlb_entries) {
+  if (!is_pow2(page_bytes) || page_bytes < l1_.line_bytes()) {
+    throw std::invalid_argument(
+        "page size must be a power of two of at least one L1 line");
+  }
   if (spec.l3.size_bytes != 0) {
     l3_.emplace(spec.l3.size_bytes, spec.l3.line_bytes,
                 spec.l3.associativity);
@@ -62,7 +119,7 @@ void CacheHierarchy::access(std::uint64_t address, std::uint32_t bytes,
   for (std::uint64_t l = first; l <= last; ++l) {
     const std::uint64_t a = l << shift;
     ++counters_.total_accesses;
-    if (!tlb_.access(a >> page_shift_ << page_shift_)) ++counters_.tlb_dm;
+    if (!tlb_.touch(a >> page_shift_)) ++counters_.tlb_dm;
     if (l1_.access(a)) continue;
     ++counters_.l1_dcm;
     if (l2_.access(a)) continue;
@@ -91,20 +148,19 @@ void CacheHierarchy::consume_coalesced(const CoalescedAccess* page,
   // Sequential fast path: one fused walk updates caches and TLB together,
   // with every accumulator in a local -- the compiler cannot prove the
   // member counters do not alias `page`, so member updates inside the loop
-  // would be reloaded on every record.  Levels share one clock here; each
-  // level only ever compares stamps within one of its own sets, so any
+  // would be reloaded on every record.  Cache levels share one clock here;
+  // each level only ever compares stamps within one of its own sets, so any
   // strictly-increasing stamp source leaves the counters bit-identical to
   // the split cache/TLB walks (verified by tests/cache_replay_test.cpp).
   const unsigned shift = l1_.line_shift();
   const unsigned line_to_page = page_shift_ - shift;
   const std::uint64_t safe_span = l1_.capacity_lines();
-  const std::uint64_t tlb_capacity = tlb_.capacity_lines();
+  const std::uint64_t tlb_capacity = tlb_.capacity();
   CacheLevel* const l3 = l3_.has_value() ? &*l3_ : nullptr;
-  std::uint64_t clock =
-      std::max({l1_.clock(), l2_.clock(), l3 ? l3->clock() : std::uint64_t{0},
-                tlb_.clock()});
+  std::uint64_t clock = std::max(
+      {l1_.clock(), l2_.clock(), l3 ? l3->clock() : std::uint64_t{0}});
   std::uint64_t total = 0, l1h = 0, l1m = 0, l2h = 0, l2m = 0, l3h = 0,
-                l3m = 0, tlbh = 0, tlbm = 0, l3t = 0;
+                l3m = 0, tlbm = 0, l3t = 0;
   std::uint64_t last_line = ~0ull, last_page = ~0ull;
   for (std::size_t i = 0; i < n; ++i) {
     const std::uint64_t address = page[i].address;
@@ -129,21 +185,14 @@ void CacheHierarchy::consume_coalesced(const CoalescedAccess* page,
         if (l == last_line) {
           // Re-touch of the MRU line: guaranteed L1 and TLB hits.
           ++l1h;
-          ++tlbh;
           continue;
         }
         last_line = l;
         ++clock;
         const std::uint64_t page_no = l >> line_to_page;
-        if (page_no == last_page) {
-          ++tlbh;
-        } else {
+        if (page_no != last_page) {
           last_page = page_no;
-          if (tlb_.touch_line(page_no, clock)) {
-            ++tlbh;
-          } else {
-            ++tlbm;
-          }
+          if (!tlb_.touch(page_no)) ++tlbm;
         }
         if (l1_.touch_line(l, clock)) {
           ++l1h;
@@ -170,7 +219,6 @@ void CacheHierarchy::consume_coalesced(const CoalescedAccess* page,
       const std::uint64_t extra = std::uint64_t{repeats} * span;
       total += extra;
       l1h += extra;
-      tlbh += extra;
     }
   }
   counters_.total_accesses += total;
@@ -181,18 +229,15 @@ void CacheHierarchy::consume_coalesced(const CoalescedAccess* page,
   l1_.credit(l1h, l1m);
   l2_.credit(l2h, l2m);
   if (l3 != nullptr) l3->credit(l3h, l3m);
-  tlb_.credit(tlbh, tlbm);
   l1_.advance_clock(clock);
   l2_.advance_clock(clock);
   if (l3 != nullptr) l3->advance_clock(clock);
-  tlb_.advance_clock(clock);
 }
 
 ReplayShardCounters CacheHierarchy::make_shard() const noexcept {
   ReplayShardCounters acc;
-  acc.clock = std::max({l1_.clock(), l2_.clock(),
-                        l3_ ? l3_->clock() : std::uint64_t{0},
-                        tlb_.clock()});
+  acc.clock = std::max(
+      {l1_.clock(), l2_.clock(), l3_ ? l3_->clock() : std::uint64_t{0}});
   return acc;
 }
 
@@ -286,17 +331,15 @@ void CacheHierarchy::replay_tlb_shard(const CoalescedAccess* page,
                                       ReplayShardCounters& acc) {
   const unsigned shift = l1_.line_shift();
   const unsigned line_to_page = page_shift_ - shift;
-  const std::uint64_t tlb_capacity = tlb_.capacity_lines();
+  const std::uint64_t tlb_capacity = tlb_.capacity();
   // Locals for the same aliasing reason as replay_cache_shard.
-  std::uint64_t clock = acc.clock;
   std::uint64_t last_page = acc.last_page;
-  std::uint64_t tlbh = 0, tlbm = 0;
+  std::uint64_t tlbm = 0;
   for (std::size_t i = 0; i < n; ++i) {
     const CoalescedAccess& e = page[i];
     const std::uint64_t first = e.address >> shift;
     const std::uint64_t last =
         (e.address + (e.bytes == 0 ? 0 : e.bytes - 1)) >> shift;
-    const std::uint64_t span = last - first + 1;
     const std::uint64_t span_pages =
         (last >> line_to_page) - (first >> line_to_page) + 1;
     const std::uint64_t passes =
@@ -306,27 +349,16 @@ void CacheHierarchy::replay_tlb_shard(const CoalescedAccess* page,
     for (std::uint64_t p = 0; p < passes; ++p) {
       for (std::uint64_t l = first; l <= last; ++l) {
         const std::uint64_t page_no = l >> line_to_page;
-        if (page_no == last_page) {
-          ++tlbh;  // consecutive same-page touch: guaranteed hit
-          continue;
-        }
+        // A consecutive same-page touch is a guaranteed hit.
+        if (page_no == last_page) continue;
         last_page = page_no;
-        if (tlb_.touch_line(page_no, ++clock)) {
-          ++tlbh;
-        } else {
-          ++tlbm;
-        }
+        if (!tlb_.touch(page_no)) ++tlbm;
       }
     }
-    if (passes == 1 && e.repeats != 0) {
-      // Repeats re-touch pages that are still TLB-resident (span fits).
-      tlbh += std::uint64_t{e.repeats} * span;
-    }
+    // With passes == 1, repeats re-touch pages that are still TLB-resident
+    // (the span fits): guaranteed hits, nothing to count.
   }
-  acc.clock = clock;
   acc.last_page = last_page;
-  acc.tlb_hits += tlbh;
-  acc.tlb_misses += tlbm;
   acc.counters.tlb_dm += tlbm;
 }
 
@@ -339,11 +371,9 @@ void CacheHierarchy::fold_shard(const ReplayShardCounters& acc) {
   l1_.credit(acc.l1_hits, acc.l1_misses);
   l2_.credit(acc.l2_hits, acc.l2_misses);
   if (l3_) l3_->credit(acc.l3_hits, acc.l3_misses);
-  tlb_.credit(acc.tlb_hits, acc.tlb_misses);
   l1_.advance_clock(acc.clock);
   l2_.advance_clock(acc.clock);
   if (l3_) l3_->advance_clock(acc.clock);
-  tlb_.advance_clock(acc.clock);
 }
 
 unsigned CacheHierarchy::max_replay_shards() const noexcept {
@@ -363,7 +393,6 @@ void CacheHierarchy::reset() {
   l1_.reset_counters();
   l2_.reset_counters();
   if (l3_) l3_->reset_counters();
-  tlb_.reset_counters();
   counters_ = {};
 }
 

@@ -141,6 +141,77 @@ class CacheLevel {
   std::uint64_t misses_ = 0;
 };
 
+/// Fully associative exact-LRU cache of page numbers: the data TLB.
+///
+/// An intrusive recency list over the entries (head = most recently used,
+/// tail = the victim) plus an open-addressed page -> entry index with
+/// backward-shift deletion make a hit or a miss O(1) instead of a scan of
+/// every way.  LRU hit/miss outcomes depend only on recency order, which
+/// the list is, so the counters equal a stamp-scan LRU's; the order in
+/// which unused entries fill cannot change a counter.  Pinned against a
+/// move-to-front stack by tests/cache_replay_test.cpp.
+class LruTlb {
+ public:
+  explicit LruTlb(unsigned entries);
+
+  /// Returns true on hit.  A hit makes `page` the most recently used
+  /// entry; a miss installs it there, evicting the least recently used
+  /// page once every entry is in use.
+  bool touch(std::uint64_t page) noexcept {
+    for (std::size_t s = home(page);; s = (s + 1) & slot_mask_) {
+      const std::uint32_t e = slots_[s];
+      if (e == kNone) break;
+      if (entries_[e].page == page) {
+        to_front(e);
+        return true;
+      }
+    }
+    install(page);
+    return false;
+  }
+
+  [[nodiscard]] std::size_t capacity() const noexcept {
+    return entries_.size();
+  }
+
+ private:
+  static constexpr std::uint32_t kNone = ~std::uint32_t{0};
+  struct Entry {
+    std::uint64_t page = 0;
+    std::uint32_t prev = kNone;  // toward the head (more recent)
+    std::uint32_t next = kNone;  // toward the tail (less recent)
+  };
+
+  [[nodiscard]] std::size_t home(std::uint64_t page) const noexcept {
+    return static_cast<std::size_t>((page * 0x9E3779B97F4A7C15ull) >>
+                                    slot_shift_);
+  }
+  void to_front(std::uint32_t e) noexcept {
+    if (e == head_) return;
+    Entry& x = entries_[e];
+    entries_[x.prev].next = x.next;
+    if (x.next == kNone) {
+      tail_ = x.prev;
+    } else {
+      entries_[x.next].prev = x.prev;
+    }
+    x.prev = kNone;
+    x.next = head_;
+    entries_[head_].prev = e;
+    head_ = e;
+  }
+  void install(std::uint64_t page) noexcept;
+  void erase_slot_of(std::uint64_t page) noexcept;
+
+  std::vector<Entry> entries_;
+  std::vector<std::uint32_t> slots_;  // entry index, kNone = empty
+  std::size_t slot_mask_ = 0;
+  unsigned slot_shift_ = 0;
+  std::uint32_t used_ = 0;
+  std::uint32_t head_ = kNone;
+  std::uint32_t tail_ = kNone;
+};
+
 /// Counter names mirroring the PAPI events collected in the paper.
 struct HierarchyCounters {
   std::uint64_t total_accesses = 0;
@@ -165,10 +236,9 @@ struct ReplayShardCounters {
   std::uint64_t l1_hits = 0, l1_misses = 0;
   std::uint64_t l2_hits = 0, l2_misses = 0;
   std::uint64_t l3_hits = 0, l3_misses = 0;
-  std::uint64_t tlb_hits = 0, tlb_misses = 0;
   std::uint64_t clock = 0;  ///< shard-private LRU stamp source
   // One-entry MRU filters: a re-touch of the most recent line/page is a
-  // guaranteed hit whose stamp refresh cannot change any relative LRU
+  // guaranteed hit whose recency refresh cannot change any relative LRU
   // order, so the walk is skipped (exact; same argument as coalescing).
   std::uint64_t last_line = ~0ull;
   std::uint64_t last_page = ~0ull;
@@ -193,7 +263,7 @@ class CacheHierarchy {
   /// Set-partitioned parallel replay, cache-level half: processes only the
   /// lines with line % shard_count == shard (shard_count must divide
   /// max_replay_shards()).  Touches no shared counter; accumulate into
-  /// `acc` and fold_shard() once per pass.  The TLB/total half is
+  /// `acc` and fold_shard() once per pass.  The TLB half is
   /// replay_tlb_shard() (the TLB is fully associative, so it cannot be
   /// set-partitioned and runs as its own unit).
   void replay_cache_shard(const CoalescedAccess* page, std::size_t n,
@@ -204,8 +274,9 @@ class CacheHierarchy {
   void fold_shard(const ReplayShardCounters& acc);
 
   /// Fresh shard accumulator whose private clock starts above every stamp
-  /// currently stored in any level, so a replay pass started mid-lifetime
-  /// (e.g. a warm pass after a cold pass) keeps stamps monotonic per set.
+  /// currently stored in any cache level, so a replay pass started
+  /// mid-lifetime (e.g. a warm pass after a cold pass) keeps stamps
+  /// monotonic per set.
   [[nodiscard]] ReplayShardCounters make_shard() const noexcept;
 
   /// Largest power-of-two shard count for which set partitioning is exact:
@@ -229,8 +300,7 @@ class CacheHierarchy {
   CacheLevel l1_;
   CacheLevel l2_;
   std::optional<CacheLevel> l3_;
-  CacheLevel tlb_;  // modeled as a cache of page numbers
-  unsigned page_bytes_;
+  LruTlb tlb_;
   unsigned page_shift_;
   HierarchyCounters counters_;
 };

@@ -1,6 +1,16 @@
 // Tests for the standalone applications' argument conventions (§4.4.5,
-// Table 3): the "Benchmark Device -- Arguments" split and helpers.
+// Table 3): the "Benchmark Device -- Arguments" split and helpers, and the
+// built app binaries' exit status on out-of-range arguments.
+#include <fcntl.h>
+#include <spawn.h>
+#include <sys/wait.h>
+#include <unistd.h>
 #include <gtest/gtest.h>
+
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 
 #include "../apps/app_common.hpp"
 #include "dwarfs/hmm/hmm.hpp"
@@ -95,6 +105,78 @@ TEST(RequireSupportedSize, RejectsUnsupportedSizeNamingSupportedOnes) {
   EXPECT_NO_THROW(require_supported_size(hmm, cli));
   cli.size = dwarfs::ProblemSize::kLarge;
   EXPECT_NO_THROW(require_supported_size(dwarfs::KMeans(), cli));
+}
+
+// ---------------------------------------------------------------------------
+// Out-of-range Table 3 arguments must fail in configure(): the app prints
+// the legal ranges and its usage line and exits 2 -- never a signal, never
+// a runtime error at bind.
+
+struct AppExit {
+  int status = 0;
+  std::string err;  // the app's standard error
+};
+
+AppExit run_app(const std::string& app, const std::vector<std::string>& args) {
+  const std::string path = std::string(EOD_APP_DIR) + "/" + app;
+  const std::string err_path =
+      (std::filesystem::temp_directory_path() /
+       ("eod_apps_test_" + app + "_" + std::to_string(::getpid()) + ".err"))
+          .string();
+  std::vector<std::string> owned = {path};
+  owned.insert(owned.end(), args.begin(), args.end());
+  std::vector<char*> argv;
+  for (std::string& a : owned) argv.push_back(a.data());
+  argv.push_back(nullptr);
+  posix_spawn_file_actions_t actions;
+  posix_spawn_file_actions_init(&actions);
+  posix_spawn_file_actions_addopen(&actions, 1, "/dev/null", O_WRONLY, 0);
+  posix_spawn_file_actions_addopen(&actions, 2, err_path.c_str(),
+                                   O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  AppExit out;
+  pid_t pid = 0;
+  const int rc = posix_spawn(&pid, path.c_str(), &actions, nullptr,
+                             argv.data(), environ);
+  posix_spawn_file_actions_destroy(&actions);
+  if (rc != 0) {
+    ADD_FAILURE() << "cannot spawn " << path;
+    return out;
+  }
+  ::waitpid(pid, &out.status, 0);
+  std::ostringstream err;
+  err << std::ifstream(err_path).rdbuf();
+  out.err = err.str();
+  std::filesystem::remove(err_path);
+  return out;
+}
+
+void expect_usage_exit(const AppExit& r, const std::string& legal) {
+  ASSERT_FALSE(WIFSIGNALED(r.status)) << "killed by signal "
+                                      << WTERMSIG(r.status);
+  ASSERT_TRUE(WIFEXITED(r.status));
+  EXPECT_EQ(WEXITSTATUS(r.status), 2) << r.err;
+  EXPECT_NE(r.err.find(legal), std::string::npos) << r.err;
+  EXPECT_NE(r.err.find("usage:"), std::string::npos) << r.err;
+}
+
+TEST(AppArgs, KmeansFewerPointsThanClustersExitsWithUsage) {
+  expect_usage_exit(run_app("kmeans_app", {"--", "-g", "-f", "26", "-p", "0"}),
+                    "points >= clusters (5)");
+}
+
+TEST(AppArgs, KmeansZeroFeaturesExitsWithUsage) {
+  expect_usage_exit(run_app("kmeans_app", {"--", "-f", "0"}),
+                    "features >= 1");
+}
+
+TEST(AppArgs, CsrZeroDimensionExitsWithUsage) {
+  expect_usage_exit(run_app("csr_app", {"--", "-n", "0"}), "n >= 1");
+}
+
+TEST(AppArgs, CsrDensityAboveOneExitsWithUsage) {
+  // 2e6 per million asks for more distinct columns per row than exist.
+  expect_usage_exit(run_app("csr_app", {"--", "-n", "10", "-d", "2000000"}),
+                    "0 <= density <= 1");
 }
 
 }  // namespace

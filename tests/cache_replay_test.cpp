@@ -5,6 +5,7 @@
 // residence regimes of all 15 testbed hierarchies.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <random>
@@ -131,6 +132,48 @@ MemoryTrace random_trace(std::uint64_t seed) {
   return t;
 }
 
+// One access per 4 KiB page over a 48-96 page window: every access changes
+// page and the window straddles the 64-entry TLB, so LRU eviction at the
+// capacity boundary decides tlb_dm.  Sweeps run forward (cyclic: defeats
+// LRU once the window exceeds the TLB), backward and in random order; some
+// accesses straddle a page boundary.
+MemoryTrace page_strided_trace(std::uint64_t seed) {
+  enum Order { kForward, kBackward, kRandom };
+  static constexpr std::uint64_t kWindows[] = {48, 63, 64, 65, 96, 80};
+  static constexpr Order kSweeps[] = {kForward, kForward, kRandom, kForward,
+                                      kBackward, kRandom, kForward, kBackward};
+  std::mt19937_64 rng(seed);
+  const std::uint64_t pages = kWindows[seed % std::size(kWindows)];
+  const std::uint64_t base = 0x400000;
+  MemoryTrace t;
+  for (const Order order : kSweeps) {
+    for (std::uint64_t i = 0; i < pages; ++i) {
+      const std::uint64_t page = order == kForward    ? i
+                                 : order == kBackward ? pages - 1 - i
+                                                      : rng() % pages;
+      const bool straddle = rng() % 16 == 0;
+      const std::uint64_t offset = straddle ? 4092 : (rng() % 64) * 64;
+      t.push_back({base + page * 4096 + offset, straddle ? 8u : 4u, false});
+    }
+  }
+  return t;
+}
+
+// Every property-test trace: the randomized families plus the page-strided
+// TLB-boundary family.
+std::vector<std::pair<std::string, MemoryTrace>> property_traces(
+    std::uint64_t random_seeds, std::uint64_t page_seeds) {
+  std::vector<std::pair<std::string, MemoryTrace>> out;
+  for (std::uint64_t seed = 0; seed < random_seeds; ++seed) {
+    out.emplace_back("seed=" + std::to_string(seed), random_trace(seed));
+  }
+  for (std::uint64_t seed = 0; seed < page_seeds; ++seed) {
+    out.emplace_back("page-strided seed=" + std::to_string(seed),
+                     page_strided_trace(seed));
+  }
+  return out;
+}
+
 std::vector<const DeviceSpec*> all_specs() {
   std::vector<const DeviceSpec*> specs;
   for (const DeviceSpec& s : testbed()) specs.push_back(&s);
@@ -157,8 +200,7 @@ TEST(CacheReplay, BatchedRawBitIdenticalToPerAccess) {
 }
 
 TEST(CacheReplay, CoalescedBitIdenticalToPerAccessOnAllDevices) {
-  for (std::uint64_t seed = 0; seed < 12; ++seed) {
-    const MemoryTrace trace = random_trace(seed);
+  for (const auto& [name, trace] : property_traces(12, 6)) {
     for (const DeviceSpec* spec : all_specs()) {
       const HierarchyCounters want = reference_replay(trace, *spec);
       CacheHierarchy h(*spec);
@@ -173,62 +215,136 @@ TEST(CacheReplay, CoalescedBitIdenticalToPerAccessOnAllDevices) {
       generator_of(trace)(writer);
       writer.finish();
       EXPECT_EQ(writer.accesses(), trace.size());
-      expect_counters_eq(h.counters(), want,
-                         spec->name + " seed=" + std::to_string(seed));
+      expect_counters_eq(h.counters(), want, spec->name + " " + name);
     }
   }
 }
 
 TEST(CacheReplay, ShardedBitIdenticalToPerAccess) {
-  const MemoryTrace trace = random_trace(7);
-  // Collect the coalesced stream once.
-  std::vector<CoalescedAccess> records;
-  struct Collect final : CoalescedSink {
-    std::vector<CoalescedAccess>* out;
-    void consume(const CoalescedAccess* page, std::size_t n) override {
-      out->insert(out->end(), page, page + n);
+  auto traces = property_traces(0, 6);
+  traces.emplace_back("seed=7", random_trace(7));
+  for (const auto& [name, trace] : traces) {
+    // Collect the coalesced stream once.
+    std::vector<CoalescedAccess> records;
+    struct Collect final : CoalescedSink {
+      std::vector<CoalescedAccess>* out;
+      void consume(const CoalescedAccess* page, std::size_t n) override {
+        out->insert(out->end(), page, page + n);
+      }
+    } collect;
+    collect.out = &records;
+    {
+      TraceWriter writer(collect);
+      generator_of(trace)(writer);
+      writer.finish();
     }
-  } collect;
-  collect.out = &records;
-  {
-    TraceWriter writer(collect);
-    generator_of(trace)(writer);
-    writer.finish();
-  }
-  for (const DeviceSpec* spec : all_specs()) {
-    CacheHierarchy probe(*spec);
-    const unsigned shards = probe.max_replay_shards();
-    if (shards < 2) continue;
-    const HierarchyCounters want = reference_replay(trace, *spec);
-    CacheHierarchy h(*spec);
-    std::vector<ReplayShardCounters> accs(shards + 1, h.make_shard());
-    for (unsigned s = 0; s < shards; ++s) {
-      h.replay_cache_shard(records.data(), records.size(), s, shards,
-                           accs[s]);
+    for (const DeviceSpec* spec : all_specs()) {
+      CacheHierarchy probe(*spec);
+      const unsigned shards = probe.max_replay_shards();
+      if (shards < 2) continue;
+      const HierarchyCounters want = reference_replay(trace, *spec);
+      CacheHierarchy h(*spec);
+      std::vector<ReplayShardCounters> accs(shards + 1, h.make_shard());
+      for (unsigned s = 0; s < shards; ++s) {
+        h.replay_cache_shard(records.data(), records.size(), s, shards,
+                             accs[s]);
+      }
+      h.replay_tlb_shard(records.data(), records.size(), accs[shards]);
+      for (const ReplayShardCounters& acc : accs) h.fold_shard(acc);
+      expect_counters_eq(h.counters(), want,
+                         spec->name + " sharded " + name);
     }
-    h.replay_tlb_shard(records.data(), records.size(), accs[shards]);
-    for (const ReplayShardCounters& acc : accs) h.fold_shard(acc);
-    expect_counters_eq(h.counters(), want, spec->name + " sharded");
   }
 }
 
 TEST(CacheReplay, FanOutTwoPassBitIdenticalToSeedProtocol) {
   xcl::ThreadPool pool(3);
-  for (std::uint64_t seed = 0; seed < 4; ++seed) {
-    const MemoryTrace trace = random_trace(seed);
+  for (const auto& [name, trace] : property_traces(4, 6)) {
     const std::vector<const DeviceSpec*> specs = all_specs();
     const std::vector<ReplayMemoEntry> got =
         replay_hierarchies(generator_of(trace), specs, pool);
     ASSERT_EQ(got.size(), specs.size());
     for (std::size_t i = 0; i < specs.size(); ++i) {
       const ReplayMemoEntry want = reference_two_pass(trace, *specs[i]);
-      const std::string ctx =
-          specs[i]->name + " seed=" + std::to_string(seed);
+      const std::string ctx = specs[i]->name + " " + name;
       expect_counters_eq(got[i].cold, want.cold, ctx + " cold");
       expect_counters_eq(got[i].warm, want.warm, ctx + " warm");
       EXPECT_EQ(got[i].accesses, trace.size()) << ctx;
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Independent TLB oracle: the reference replay above runs through the same
+// LruTlb, so the TLB is checked on its own against a textbook
+// move-to-front LRU stack.
+
+class MoveToFrontLru {
+ public:
+  explicit MoveToFrontLru(std::size_t entries) : entries_(entries) {}
+
+  bool touch(std::uint64_t page) {
+    const auto it = std::find(stack_.begin(), stack_.end(), page);
+    const bool hit = it != stack_.end();
+    if (hit) {
+      stack_.erase(it);
+    } else if (stack_.size() == entries_) {
+      stack_.pop_back();
+    }
+    stack_.insert(stack_.begin(), page);
+    return hit;
+  }
+
+ private:
+  std::size_t entries_;
+  std::vector<std::uint64_t> stack_;  // front = most recently used
+};
+
+TEST(LruTlbOracle, MatchesMoveToFrontStackOnSeededPageStreams) {
+  for (const unsigned entries : {1u, 2u, 64u}) {
+    std::vector<std::uint64_t> working_sets = {entries, entries + 1,
+                                               2 * entries};
+    if (entries > 1) working_sets.push_back(entries - 1);
+    for (const std::uint64_t ws : working_sets) {
+      for (int pattern = 0; pattern < 3; ++pattern) {
+        std::mt19937_64 rng(entries * 1000 + ws * 10 + pattern);
+        // Wide, scattered page numbers so index probes collide and wrap.
+        std::vector<std::uint64_t> pages(ws);
+        for (std::uint64_t& p : pages) p = rng() >> (rng() % 40);
+        LruTlb tlb(entries);
+        MoveToFrontLru oracle(entries);
+        std::uint64_t hits = 0;
+        for (std::uint64_t i = 0; i < 20000; ++i) {
+          // 0: cyclic sweep (every touch misses once ws > entries);
+          // 1: uniform random mix; 2: sweep with random detours.
+          const std::uint64_t k =
+              pattern == 0   ? i % ws
+              : pattern == 1 ? rng() % ws
+                             : (rng() % 4 == 0 ? rng() % ws : i % ws);
+          const bool want = oracle.touch(pages[k]);
+          ASSERT_EQ(tlb.touch(pages[k]), want)
+              << "entries=" << entries << " ws=" << ws
+              << " pattern=" << pattern << " i=" << i;
+          hits += want;
+        }
+        if (pattern == 0 && ws > entries) {
+          EXPECT_EQ(hits, 0u);
+        }
+        if (ws <= entries) {
+          EXPECT_EQ(hits, 20000 - ws);
+        }
+      }
+    }
+  }
+  EXPECT_THROW(LruTlb(0), std::invalid_argument);
+}
+
+TEST(LruTlbOracle, PageStridedTlbMissesPinned) {
+  // Recorded with the stamp-scan 64-way TLB this type replaced.
+  const MemoryTrace trace = page_strided_trace(4);  // 96-page window
+  const HierarchyCounters c = reference_replay(trace, skylake());
+  EXPECT_EQ(c.total_accesses, 809u);
+  EXPECT_EQ(c.tlb_dm, 469u);
 }
 
 TEST(CacheReplay, EmitRunMatchesElementwiseEmits) {
