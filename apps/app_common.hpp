@@ -241,6 +241,7 @@ inline int report_partitioned(const dwarfs::Dwarf& dwarf,
     man.queue = xcl::to_string(xcl::QueueMode::kOutOfOrder);
     man.git_describe = obs::git_describe();
     man.timestamp = obs::utc_timestamp();
+    man.host_thp = obs::host_thp_mode();
     man.samples = 1;
     man.loop_iterations = 1;
     man.time_mean_ms = r.makespan_s * 1e3;

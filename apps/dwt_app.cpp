@@ -9,8 +9,8 @@ int main(int argc, const char** argv) {
     const apps::SplitArgs a = apps::split_args(argc, argv);
     dwarfs::Dwt dwarf;
     apps::require_supported_size(dwarf, a.cli);
-    const unsigned levels = static_cast<unsigned>(
-        std::stoul(apps::flag_value(a.benchmark_args, "-l", "3")));
+    const unsigned long levels =
+        std::stoul(apps::flag_value(a.benchmark_args, "-l", "3"));
     dwarfs::Dwt::Extent e = dwarfs::Dwt::extent_for(
         a.cli.size.value_or(dwarfs::ProblemSize::kTiny));
     // Last positional: WxH geometry (the suite synthesizes the image, so a
@@ -22,7 +22,9 @@ int main(int argc, const char** argv) {
         e.height = std::stoul(arg.substr(x + 1));
       }
     }
-    dwarf.configure(e, levels);
+    // Reject before narrowing: -l 4294967297 must not wrap to 1.
+    dwarfs::Dwt::require_levels(e, levels);
+    dwarf.configure(e, static_cast<unsigned>(levels));
     std::cout << "dwt -l " << levels << ' ' << e.width << 'x' << e.height
               << "-gum.ppm\n";
     return apps::run_configured(dwarf, a.cli);

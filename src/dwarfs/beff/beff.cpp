@@ -46,10 +46,12 @@ void Beff::configure(std::size_t max_bytes) {
           xcl::Status::kInvalidValue,
           "beff sweep ceiling must be a power of two >= 1 KiB");
   max_bytes_ = max_bytes;
-  SplitMix64 rng(0x62656666ull);  // "beff"
-  send_.resize(max_bytes_);
-  for (std::uint8_t& b : send_) b = static_cast<std::uint8_t>(rng.next());
-  recv_.assign(max_bytes_, 0);
+  send_ = HostVector<std::uint8_t>(max_bytes_);
+  generate_indexed(max_bytes_, 0x62656666ull /* "beff" */, 1,
+                   [&](SplitMix64& rng, std::size_t i) {
+                     send_[i] = static_cast<std::uint8_t>(rng.next());
+                   });
+  recv_ = HostVector<std::uint8_t>(max_bytes_);
   points_.clear();
 }
 

@@ -84,8 +84,8 @@ class Beff final : public Dwarf {
 
  private:
   std::size_t max_bytes_ = 0;
-  std::vector<std::uint8_t> send_;
-  std::vector<std::uint8_t> recv_;
+  HostVector<std::uint8_t> send_;
+  HostVector<std::uint8_t> recv_;
   std::vector<BeffPoint> points_;
 
   xcl::Queue* queue_ = nullptr;

@@ -10,6 +10,7 @@
 // adding utilities to compare norms".
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -22,9 +23,13 @@
 #include "sim/cache_sim.hpp"
 #include "sim/trace_replay.hpp"
 #include "xcl/buffer.hpp"
+#include "xcl/host_memory.hpp"
 #include "xcl/queue.hpp"
+#include "xcl/thread_pool.hpp"
 
 namespace eod::dwarfs {
+
+using xcl::HostVector;
 
 /// The four problem-size classes of §4.4, anchored to the Skylake memory
 /// hierarchy: tiny -> 32 KiB L1, small -> 256 KiB L2, medium -> 8 MiB L3,
@@ -59,17 +64,25 @@ struct Validation {
                                        const std::string& what);
 
 /// splitmix64: small deterministic RNG for input generation (keeps every
-/// benchmark's dataset reproducible across runs and platforms).
+/// benchmark's dataset reproducible across runs and platforms).  It is a
+/// counter generator: draw k (from 0) mixes state seed + (k+1)*kGamma, so
+/// any point of a stream is reachable in O(1) through at().
 class SplitMix64 {
  public:
+  static constexpr std::uint64_t kGamma = 0x9e3779b97f4a7c15ull;
+
   explicit SplitMix64(std::uint64_t seed) : state_(seed) {}
+  /// The generator `seed` becomes after `draws` calls of next().
+  [[nodiscard]] static SplitMix64 at(std::uint64_t seed, std::uint64_t draws) {
+    return SplitMix64(seed + draws * kGamma);
+  }
   std::uint64_t next() {
-    std::uint64_t z = (state_ += 0x9e3779b97f4a7c15ull);
+    std::uint64_t z = (state_ += kGamma);
     z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
     z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
     return z ^ (z >> 31);
   }
-  /// Uniform float in [0, 1).
+  /// Uniform float in [0, 1).  One draw, as are the two overloads below.
   float uniform() {
     return static_cast<float>(next() >> 40) * (1.0f / 16777216.0f);
   }
@@ -81,6 +94,26 @@ class SplitMix64 {
  private:
   std::uint64_t state_;
 };
+
+/// Items per generate_indexed chunk (one pool iteration).
+inline constexpr std::size_t kGenerateChunk = std::size_t{1} << 16;
+
+/// Runs gen(rng, i) for every i in [0, n), where gen draws exactly
+/// `draws_per_item` values from rng: bit-identical to the serial loop
+///   SplitMix64 rng(seed); for (i = 0; i < n; ++i) gen(rng, i);
+/// but chunks of kGenerateChunk items run on the shared pool, each starting
+/// from its own SplitMix64::at(seed, first_item * draws_per_item).
+template <typename Gen>
+void generate_indexed(std::size_t n, std::uint64_t seed,
+                      std::size_t draws_per_item, const Gen& gen) {
+  const std::size_t chunks = (n + kGenerateChunk - 1) / kGenerateChunk;
+  xcl::ThreadPool::global().parallel_for(chunks, [&](std::size_t c) {
+    const std::size_t lo = c * kGenerateChunk;
+    const std::size_t hi = std::min(n, lo + kGenerateChunk);
+    SplitMix64 rng = SplitMix64::at(seed, lo * draws_per_item);
+    for (std::size_t i = lo; i < hi; ++i) gen(rng, i);
+  });
+}
 
 /// FNV-1a over a typed output vector, for Dwarf::result_signature
 /// implementations.  Byte-exact: two runs hash equal iff every output

@@ -88,9 +88,11 @@ void Crc::setup(ProblemSize size) { configure(buffer_bytes_for(size)); }
 void Crc::configure(std::size_t bytes) {
   require(bytes > 0, xcl::Status::kInvalidValue,
           "crc input must be non-empty");
-  SplitMix64 rng(0x637263ull);  // "crc"
-  data_.resize(bytes);
-  for (auto& b : data_) b = static_cast<std::uint8_t>(rng.next());
+  data_ = HostVector<std::uint8_t>(bytes);
+  generate_indexed(bytes, 0x637263ull /* "crc" */, 1,
+                   [&](SplitMix64& rng, std::size_t i) {
+                     data_[i] = static_cast<std::uint8_t>(rng.next());
+                   });
   page_crcs_.assign(pages(), 0);
 }
 

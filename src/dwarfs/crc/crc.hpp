@@ -62,7 +62,7 @@ class Crc final : public Dwarf {
     return (data_.size() + kPageBytes - 1) / kPageBytes;
   }
 
-  std::vector<std::uint8_t> data_;
+  HostVector<std::uint8_t> data_;
   std::vector<std::uint32_t> page_crcs_;
 
   xcl::Queue* queue_ = nullptr;

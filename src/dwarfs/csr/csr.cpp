@@ -5,32 +5,49 @@
 #include <string>
 
 #include "xcl/kernel.hpp"
+#include "xcl/thread_pool.hpp"
 
 namespace eod::dwarfs {
 
 CsrMatrix create_csr(std::size_t n, double density, std::uint64_t seed) {
   CsrMatrix m;
   m.n = n;
-  m.row_ptr.resize(n + 1, 0);
-  SplitMix64 rng(seed);
   const auto per_row = std::max<std::size_t>(
       1, static_cast<std::size_t>(density * static_cast<double>(n)));
-  std::vector<std::uint32_t> row_cols;
+  m.row_ptr = HostVector<std::uint32_t>(n + 1);
+  m.cols = HostVector<std::uint32_t>(n * per_row);
+  m.vals = HostVector<float>(n * per_row);
+  // Draw order, row by row: distinct columns by rejection, then one value
+  // per column in sorted column order.  The column draws stay serial (a
+  // row's draw count depends on its duplicates); a per-column stamp of the
+  // last row that drew it makes the duplicate test O(1).  Each row records
+  // where its value draws start, so sorting and values run on the pool.
+  std::vector<std::size_t> drawn_by(n, 0);  // row + 1 of the last draw
+  std::vector<std::uint64_t> value_draw(n);
+  std::uint64_t draws = 0;
   for (std::size_t r = 0; r < n; ++r) {
-    row_cols.clear();
-    while (row_cols.size() < per_row) {
+    SplitMix64 rng = SplitMix64::at(seed, draws);
+    std::uint32_t* row = &m.cols[r * per_row];
+    for (std::size_t have = 0; have < per_row; ++draws) {
       const auto c = static_cast<std::uint32_t>(rng.below(n));
-      if (std::find(row_cols.begin(), row_cols.end(), c) == row_cols.end()) {
-        row_cols.push_back(c);
+      if (drawn_by[c] != r + 1) {
+        drawn_by[c] = r + 1;
+        row[have++] = c;
       }
     }
-    std::sort(row_cols.begin(), row_cols.end());
-    for (const std::uint32_t c : row_cols) {
-      m.cols.push_back(c);
-      m.vals.push_back(rng.uniform(-1.0f, 1.0f));
-    }
-    m.row_ptr[r + 1] = static_cast<std::uint32_t>(m.cols.size());
+    value_draw[r] = draws;
+    draws += per_row;
+    m.row_ptr[r + 1] = static_cast<std::uint32_t>((r + 1) * per_row);
   }
+  xcl::ThreadPool::global().parallel_for(n, [&](std::size_t r) {
+    const std::size_t lo = r * per_row;
+    std::sort(m.cols.begin() + static_cast<std::ptrdiff_t>(lo),
+              m.cols.begin() + static_cast<std::ptrdiff_t>(lo + per_row));
+    SplitMix64 rng = SplitMix64::at(seed, value_draw[r]);
+    for (std::size_t k = lo; k < lo + per_row; ++k) {
+      m.vals[k] = rng.uniform(-1.0f, 1.0f);
+    }
+  });
   return m;
 }
 
@@ -62,10 +79,12 @@ void Csr::setup(ProblemSize size) { configure(dim_for(size), kDensity); }
 void Csr::configure_with_matrix(CsrMatrix matrix) {
   require(matrix.n > 0, xcl::Status::kInvalidValue, "empty CSR matrix");
   m_ = std::move(matrix);
-  SplitMix64 rng(0x637372aaull);
-  x_.resize(m_.n);
-  for (float& v : x_) v = rng.uniform(-1.0f, 1.0f);
-  y_.assign(m_.n, 0.0f);
+  x_ = HostVector<float>(m_.n);
+  generate_indexed(x_.size(), 0x637372aaull, 1,
+                   [&](SplitMix64& rng, std::size_t i) {
+                     x_[i] = rng.uniform(-1.0f, 1.0f);
+                   });
+  y_ = HostVector<float>(m_.n);
 }
 
 void Csr::configure(std::size_t n, double density) {
@@ -75,11 +94,7 @@ void Csr::configure(std::size_t n, double density) {
         "csr: needs n >= 1 and 0 <= density <= 1; got n=" + std::to_string(n) +
         " density=" + std::to_string(density));
   }
-  m_ = create_csr(n, density, 0x637372ull);  // "csr"
-  SplitMix64 rng(0x637372aaull);
-  x_.resize(n);
-  for (float& v : x_) v = rng.uniform(-1.0f, 1.0f);
-  y_.assign(n, 0.0f);
+  configure_with_matrix(create_csr(n, density, 0x637372ull));  // "csr"
 }
 
 void Csr::bind(xcl::Context& ctx, xcl::Queue& q) {
@@ -153,7 +168,7 @@ void Csr::finish() {
 }
 
 Validation Csr::validate() {
-  std::vector<float> want(m_.n, 0.0f);
+  HostVector<float> want(m_.n);
   for (std::size_t r = 0; r < m_.n; ++r) {
     double acc = 0.0;
     for (std::uint32_t k = m_.row_ptr[r]; k < m_.row_ptr[r + 1]; ++k) {

@@ -7,7 +7,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <vector>
 
 #include "dwarfs/common.hpp"
 
@@ -16,9 +15,9 @@ namespace eod::dwarfs {
 /// A CSR matrix as written by the createcsr tool.
 struct CsrMatrix {
   std::size_t n = 0;  ///< square dimension
-  std::vector<std::uint32_t> row_ptr;  ///< n+1 offsets
-  std::vector<std::uint32_t> cols;
-  std::vector<float> vals;
+  HostVector<std::uint32_t> row_ptr;  ///< n+1 offsets
+  HostVector<std::uint32_t> cols;
+  HostVector<float> vals;
 
   [[nodiscard]] std::size_t nnz() const noexcept { return vals.size(); }
   [[nodiscard]] std::size_t bytes() const noexcept {
@@ -74,8 +73,8 @@ class Csr final : public Dwarf {
 
  private:
   CsrMatrix m_;
-  std::vector<float> x_;
-  std::vector<float> y_;
+  HostVector<float> x_;
+  HostVector<float> y_;
 
   xcl::Queue* queue_ = nullptr;
   std::optional<xcl::Buffer> rowptr_buf_;

@@ -11,7 +11,7 @@ namespace {
 constexpr char kMagic[8] = {'E', 'O', 'D', 'C', 'S', 'R', '0', '1'};
 
 template <typename T>
-void write_array(std::ofstream& out, const std::vector<T>& v) {
+void write_array(std::ofstream& out, const HostVector<T>& v) {
   const std::uint64_t count = v.size();
   out.write(reinterpret_cast<const char*>(&count), sizeof(count));
   out.write(reinterpret_cast<const char*>(v.data()),
@@ -19,14 +19,14 @@ void write_array(std::ofstream& out, const std::vector<T>& v) {
 }
 
 template <typename T>
-std::vector<T> read_array(std::ifstream& in, const std::string& what) {
+HostVector<T> read_array(std::ifstream& in, const std::string& what) {
   std::uint64_t count = 0;
   in.read(reinterpret_cast<char*>(&count), sizeof(count));
   if (!in) throw std::runtime_error("truncated .csr header for " + what);
   if (count > (1ull << 32)) {
     throw std::runtime_error("implausible .csr array size for " + what);
   }
-  std::vector<T> v(count);
+  HostVector<T> v(count);
   in.read(reinterpret_cast<char*>(v.data()),
           static_cast<std::streamsize>(count * sizeof(T)));
   if (!in) throw std::runtime_error("truncated .csr data for " + what);

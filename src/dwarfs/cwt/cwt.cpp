@@ -49,16 +49,16 @@ void Cwt::configure(std::size_t n, unsigned scales) {
   scales_ = scales;
   // Test signal: two chirping tones plus noise -- structured content at
   // several scales, like the suite's other generated inputs.
-  SplitMix64 rng(0x637774ull);  // "cwt"
-  signal_.resize(n_);
-  for (std::size_t t = 0; t < n_; ++t) {
-    const double x = static_cast<double>(t);
-    signal_[t] = static_cast<float>(
-        std::sin(2.0 * M_PI * x / 16.0) +
-        0.5 * std::sin(2.0 * M_PI * x / 64.0 + 0.1) +
-        0.1 * (rng.uniform() - 0.5));
-  }
-  magnitude_.assign(std::size_t{scales_} * n_, 0.0f);
+  signal_ = HostVector<float>(n_);
+  generate_indexed(n_, 0x637774ull /* "cwt" */, 1,
+                   [&](SplitMix64& rng, std::size_t t) {
+                     const double x = static_cast<double>(t);
+                     signal_[t] = static_cast<float>(
+                         std::sin(2.0 * M_PI * x / 16.0) +
+                         0.5 * std::sin(2.0 * M_PI * x / 64.0 + 0.1) +
+                         0.1 * (rng.uniform() - 0.5));
+                   });
+  magnitude_ = HostVector<float>(std::size_t{scales_} * n_);
 }
 
 void Cwt::bind(xcl::Context& ctx, xcl::Queue& q) {
@@ -181,7 +181,7 @@ Validation Cwt::validate() {
       k.sin.push_back(std::sin(kOmega0 * u));
     }
   });
-  std::vector<float> want(magnitude_.size());
+  HostVector<float> want(magnitude_.size());
   pool.parallel_for(want.size(), [&](std::size_t idx) {
     const unsigned j = static_cast<unsigned>(idx / n_);
     const Taps& k = taps[j];

@@ -48,7 +48,7 @@ class Cwt final : public Dwarf {
   void unbind() override;
 
   /// |W(scale, t)| magnitudes (valid after finish()).
-  [[nodiscard]] const std::vector<float>& magnitudes() const noexcept {
+  [[nodiscard]] std::span<const float> magnitudes() const noexcept {
     return magnitude_;
   }
 
@@ -60,8 +60,8 @@ class Cwt final : public Dwarf {
  private:
   std::size_t n_ = 0;
   unsigned scales_ = kScales;
-  std::vector<float> signal_;
-  std::vector<float> magnitude_;  // scales_ x n_
+  HostVector<float> signal_;
+  HostVector<float> magnitude_;  // scales_ x n_
 
   xcl::Queue* queue_ = nullptr;
   std::optional<xcl::Buffer> signal_buf_;

@@ -1,6 +1,8 @@
 #include "dwarfs/dwt/dwt.hpp"
 
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "xcl/kernel.hpp"
 #include "xcl/thread_pool.hpp"
@@ -31,8 +33,7 @@ void Dwt::setup(ProblemSize size) {
 }
 
 void Dwt::configure(Extent extent, unsigned levels) {
-  require(extent.width >= 2 && extent.height >= 2,
-          xcl::Status::kInvalidValue, "dwt image must be at least 2x2");
+  require_levels(extent, levels);
   require(levels >= 1, xcl::Status::kInvalidValue,
           "dwt needs at least one level");
   extent_ = extent;
@@ -46,13 +47,35 @@ void Dwt::configure(Extent extent, unsigned levels) {
     leaf = box_resize(leaf, extent_.width, extent_.height);
   }
   const std::size_t width = extent_.width;
-  input_.resize(width * extent_.height);
+  input_ = HostVector<float>(width * extent_.height);
   xcl::ThreadPool::global().parallel_for(extent_.height, [&](std::size_t y) {
     for (std::size_t i = y * width; i < (y + 1) * width; ++i) {
       input_[i] = static_cast<float>(leaf.pixels[i]);
     }
   });
-  output_.assign(input_.size(), 0.0f);
+  output_ = HostVector<float>(input_.size());
+}
+
+unsigned Dwt::max_levels(Extent extent) {
+  unsigned levels = 0;
+  for (std::size_t w = extent.width, h = extent.height; w >= 2 && h >= 2;
+       w = (w + 1) / 2, h = (h + 1) / 2) {
+    ++levels;
+  }
+  return levels;
+}
+
+void Dwt::require_levels(Extent extent, unsigned long levels) {
+  require(extent.width >= 2 && extent.height >= 2,
+          xcl::Status::kInvalidValue, "dwt image must be at least 2x2");
+  const unsigned max = max_levels(extent);
+  if (levels > max) {
+    throw std::invalid_argument(
+        "dwt: a " + std::to_string(extent.width) + "x" +
+        std::to_string(extent.height) + " image supports 1.." +
+        std::to_string(max) + " levels (halvings while both sides stay >= 2)" +
+        "; got -l " + std::to_string(levels));
+  }
 }
 
 void Dwt::bind(xcl::Context& ctx, xcl::Queue& q) {
@@ -238,14 +261,14 @@ std::size_t Dwt::trace_size_hint() const {
   return total;
 }
 
-void Dwt::reference_dwt53(std::vector<double>& data, std::size_t width,
+void Dwt::reference_dwt53(std::span<double> data, std::size_t width,
                           std::size_t height, unsigned levels) {
   // Every pass is row-major and parallel over rows: the vertical lifting
   // steps walk i outermost with the columns streaming inside, and each
   // sub-pass only reads rows the one before it wrote, so every coefficient
   // sees the same operands in the same order as a column-at-a-time walk.
   xcl::ThreadPool& pool = xcl::ThreadPool::global();
-  std::vector<double> temp(data.size());
+  HostVector<double> temp(data.size());
   std::size_t lw = width;
   std::size_t lh = height;
   for (unsigned level = 0; level < levels && lw >= 2 && lh >= 2; ++level) {
@@ -297,7 +320,7 @@ void Dwt::reference_dwt53(std::vector<double>& data, std::size_t width,
   }
 }
 
-void Dwt::reference_idwt53(std::vector<double>& data, std::size_t width,
+void Dwt::reference_idwt53(std::span<double> data, std::size_t width,
                            std::size_t height, unsigned levels) {
   // Collect the level extents, then invert from the deepest level out.
   std::vector<std::pair<std::size_t, std::size_t>> exts;
@@ -308,7 +331,7 @@ void Dwt::reference_idwt53(std::vector<double>& data, std::size_t width,
     lw = (lw + 1) / 2;
     lh = (lh + 1) / 2;
   }
-  std::vector<double> temp(data.size());
+  HostVector<double> temp(data.size());
   for (auto it = exts.rbegin(); it != exts.rend(); ++it) {
     const auto [w, h] = *it;
     // Inverse vertical: data -> temp (interleaved rows).
@@ -356,9 +379,9 @@ void Dwt::reference_idwt53(std::vector<double>& data, std::size_t width,
 }
 
 Validation Dwt::validate() {
-  std::vector<double> ref(input_.begin(), input_.end());
+  HostVector<double> ref(input_.begin(), input_.end());
   reference_dwt53(ref, extent_.width, extent_.height, levels_);
-  std::vector<float> want(ref.size());
+  HostVector<float> want(ref.size());
   for (std::size_t i = 0; i < ref.size(); ++i) {
     want[i] = static_cast<float>(ref[i]);
   }

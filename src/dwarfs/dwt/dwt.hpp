@@ -10,7 +10,7 @@
 
 #include <cstddef>
 #include <optional>
-#include <vector>
+#include <span>
 
 #include "dwarfs/common.hpp"
 #include "dwarfs/dwt/image.hpp"
@@ -29,8 +29,16 @@ class Dwt final : public Dwarf {
   [[nodiscard]] static Extent extent_for(ProblemSize s);
 
   /// Custom image extent and decomposition depth (-l); setup(size) is the
-  /// Table 2 preset configure(extent_for(size), kLevels).
+  /// Table 2 preset configure(extent_for(size), kLevels).  Throws
+  /// std::invalid_argument (see require_levels) past max_levels(extent).
   void configure(Extent extent, unsigned levels);
+
+  /// Deepest decomposition the extent supports: the number of halvings
+  /// while both sides stay >= 2.
+  [[nodiscard]] static unsigned max_levels(Extent extent);
+  /// Throws xcl::Error for an extent under 2x2, and std::invalid_argument
+  /// naming max_levels(extent) when `levels` exceeds it.
+  static void require_levels(Extent extent, unsigned long levels);
 
   [[nodiscard]] std::string name() const override { return "dwt"; }
   [[nodiscard]] std::string berkeley_dwarf() const override {
@@ -55,15 +63,15 @@ class Dwt final : public Dwarf {
 
   /// Reference: one full forward transform in double precision, rows on
   /// the shared pool, bit-identical to a serial walk.
-  static void reference_dwt53(std::vector<double>& data, std::size_t width,
+  static void reference_dwt53(std::span<double> data, std::size_t width,
                               std::size_t height, unsigned levels);
   /// Serial inverse (used by tests for the perfect-reconstruction
   /// property).
-  static void reference_idwt53(std::vector<double>& data, std::size_t width,
+  static void reference_idwt53(std::span<double> data, std::size_t width,
                                std::size_t height, unsigned levels);
 
   /// The transformed coefficients (valid after finish()).
-  [[nodiscard]] const std::vector<float>& coefficients() const noexcept {
+  [[nodiscard]] std::span<const float> coefficients() const noexcept {
     return output_;
   }
   [[nodiscard]] Extent extent() const noexcept { return extent_; }
@@ -78,8 +86,8 @@ class Dwt final : public Dwarf {
 
   Extent extent_;
   unsigned levels_ = kLevels;
-  std::vector<float> input_;   // grayscale pixels as float
-  std::vector<float> output_;
+  HostVector<float> input_;   // grayscale pixels as float
+  HostVector<float> output_;
 
   xcl::Queue* queue_ = nullptr;
   std::optional<xcl::Buffer> data_buf_;

@@ -185,7 +185,7 @@ GrayImage load_ppm_as_gray(const std::string& path) {
   return img;
 }
 
-GrayImage tile_coefficients(const std::vector<float>& coeffs,
+GrayImage tile_coefficients(std::span<const float> coeffs,
                             std::size_t width, std::size_t height) {
   if (coeffs.size() != width * height) {
     throw std::invalid_argument("coefficient raster size mismatch");

@@ -5,8 +5,10 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
-#include <vector>
+
+#include "xcl/host_memory.hpp"
 
 namespace eod::dwarfs {
 
@@ -14,7 +16,7 @@ namespace eod::dwarfs {
 struct GrayImage {
   std::size_t width = 0;
   std::size_t height = 0;
-  std::vector<std::uint8_t> pixels;  // row-major, width*height
+  xcl::HostVector<std::uint8_t> pixels;  // row-major, width*height
 
   [[nodiscard]] std::uint8_t at(std::size_t x, std::size_t y) const {
     return pixels[y * width + x];
@@ -44,7 +46,7 @@ void save_ppm_rgb_from_gray(const GrayImage& img, const std::string& path);
 /// Packs DWT coefficient quadrants into a visually tiled grayscale image
 /// (the paper stores "Portable GrayMap images of the resulting DWT
 /// coefficients in a visual tiled fashion").
-[[nodiscard]] GrayImage tile_coefficients(const std::vector<float>& coeffs,
+[[nodiscard]] GrayImage tile_coefficients(std::span<const float> coeffs,
                                           std::size_t width,
                                           std::size_t height);
 

@@ -29,10 +29,12 @@ void Fft::configure(std::size_t n, FftDirection dir) {
           "fft length must be a power of two >= 2");
   n_ = n;
   dir_ = dir;
-  SplitMix64 rng(0x666674ull);  // "fft"
-  input_.resize(2 * n_);
-  for (float& v : input_) v = rng.uniform(-1.0f, 1.0f);
-  output_.assign(2 * n_, 0.0f);
+  input_ = HostVector<float>(2 * n_);
+  generate_indexed(input_.size(), 0x666674ull /* "fft" */, 1,
+                   [&](SplitMix64& rng, std::size_t i) {
+                     input_[i] = rng.uniform(-1.0f, 1.0f);
+                   });
+  output_ = HostVector<float>(2 * n_);
 }
 
 void Fft::set_input(std::span<const float> interleaved) {
@@ -130,7 +132,7 @@ void Fft::finish() {
   queue_->enqueue_read<float>(result, std::span(output_));
 }
 
-void Fft::reference_fft(std::vector<std::complex<double>>& a) {
+void Fft::reference_fft(std::span<std::complex<double>> a) {
   const std::size_t n = a.size();
   if (n < 2) return;
   // Iterative Cooley-Tukey with bit-reversal permutation.
@@ -146,12 +148,11 @@ void Fft::reference_fft(std::vector<std::complex<double>>& a) {
   // contiguous chunks.
   constexpr std::size_t kChunk = 2048;
   const std::size_t butterflies = n / 2;
-  std::vector<std::complex<double>> twiddle;
+  HostVector<std::complex<double>> twiddle(butterflies);  // first half used
   for (std::size_t len = 2; len <= n; len <<= 1) {
     const std::size_t half = len / 2;
     const double ang = -2.0 * M_PI / static_cast<double>(len);
     const std::complex<double> wl(std::cos(ang), std::sin(ang));
-    twiddle.resize(half);
     std::complex<double> w(1.0, 0.0);
     for (std::size_t j = 0; j < half; ++j) {
       twiddle[j] = w;
@@ -174,7 +175,7 @@ void Fft::reference_fft(std::vector<std::complex<double>>& a) {
   }
 }
 
-void Fft::reference_ifft(std::vector<std::complex<double>>& a) {
+void Fft::reference_ifft(std::span<std::complex<double>> a) {
   for (auto& v : a) v = std::conj(v);
   reference_fft(a);
   const double inv_n = 1.0 / static_cast<double>(a.size());
@@ -182,7 +183,7 @@ void Fft::reference_ifft(std::vector<std::complex<double>>& a) {
 }
 
 Validation Fft::validate() {
-  std::vector<std::complex<double>> ref(n_);
+  HostVector<std::complex<double>> ref(n_);
   for (std::size_t i = 0; i < n_; ++i) {
     ref[i] = {static_cast<double>(input_[2 * i]),
               static_cast<double>(input_[2 * i + 1])};
@@ -192,7 +193,7 @@ Validation Fft::validate() {
   } else {
     reference_ifft(ref);
   }
-  std::vector<float> want(2 * n_);
+  HostVector<float> want(2 * n_);
   for (std::size_t i = 0; i < n_; ++i) {
     want[2 * i] = static_cast<float>(ref[i].real());
     want[2 * i + 1] = static_cast<float>(ref[i].imag());

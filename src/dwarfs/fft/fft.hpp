@@ -10,7 +10,7 @@
 #include <complex>
 #include <cstddef>
 #include <optional>
-#include <vector>
+#include <span>
 
 #include "dwarfs/common.hpp"
 
@@ -57,20 +57,20 @@ class Fft final : public Dwarf {
 
   /// Double-precision reference (iterative Cooley-Tukey); each stage's
   /// butterflies run on the shared pool, bit-identical to a serial walk.
-  static void reference_fft(std::vector<std::complex<double>>& data);
+  static void reference_fft(std::span<std::complex<double>> data);
   /// Serial inverse (conjugate + forward + conjugate + 1/N).
-  static void reference_ifft(std::vector<std::complex<double>>& data);
+  static void reference_ifft(std::span<std::complex<double>> data);
 
   /// The transformed spectrum/signal (valid after finish()).
-  [[nodiscard]] const std::vector<float>& output() const noexcept {
+  [[nodiscard]] std::span<const float> output() const noexcept {
     return output_;
   }
 
  private:
   std::size_t n_ = 0;
   FftDirection dir_ = FftDirection::kForward;
-  std::vector<float> input_;   // interleaved re/im
-  std::vector<float> output_;  // interleaved re/im
+  HostVector<float> input_;   // interleaved re/im
+  HostVector<float> output_;  // interleaved re/im
 
   xcl::Queue* queue_ = nullptr;
   std::optional<xcl::Buffer> buf_a_;

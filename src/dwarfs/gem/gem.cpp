@@ -14,16 +14,14 @@ namespace eod::dwarfs {
 
 Molecule generate_molecule(std::size_t atoms, std::uint64_t seed) {
   Molecule m;
-  m.x.resize(atoms);
-  m.y.resize(atoms);
-  m.z.resize(atoms);
-  m.q.resize(atoms);
-  m.r.resize(atoms);
-  SplitMix64 rng(seed);
+  for (HostVector<float>* v : {&m.x, &m.y, &m.z, &m.q, &m.r}) {
+    *v = HostVector<float>(atoms);
+  }
   // Pack atoms at protein-like density: ~0.01 atoms / A^3 inside a ball.
   const double radius =
       std::cbrt(static_cast<double>(atoms) / 0.01 * 3.0 / (4.0 * M_PI));
-  for (std::size_t i = 0; i < atoms; ++i) {
+  // Five draws per atom: three for the position, charge, radius.
+  generate_indexed(atoms, seed, 5, [&](SplitMix64& rng, std::size_t i) {
     // Rejection-free ball sample: direction x cube-root radial.
     const double u = 2.0 * rng.uniform() - 1.0;
     const double phi = 2.0 * M_PI * rng.uniform();
@@ -36,7 +34,7 @@ Molecule generate_molecule(std::size_t atoms, std::uint64_t seed) {
     const float charge = rng.uniform(0.1f, 1.0f);
     m.q[i] = (i % 2 == 0) ? charge : -charge;
     m.r[i] = rng.uniform(1.0f, 2.0f);  // van der Waals radius, Angstrom
-  }
+  });
   return m;
 }
 
@@ -143,10 +141,9 @@ void Gem::place_surface_vertices() {
   // msms substitute: surface points on the bounding sphere (2 per atom).
   const std::size_t a = mol_.atoms();
   const std::size_t v = 2 * a;
-  vx_.resize(v);
-  vy_.resize(v);
-  vz_.resize(v);
-  SplitMix64 rng(0x67656d02ull);
+  vx_ = HostVector<float>(v);
+  vy_ = HostVector<float>(v);
+  vz_ = HostVector<float>(v);
   float max_r = 0.0f;
   for (std::size_t i = 0; i < a; ++i) {
     const float rr = std::sqrt(mol_.x[i] * mol_.x[i] +
@@ -155,15 +152,15 @@ void Gem::place_surface_vertices() {
                      mol_.r[i];
     max_r = std::max(max_r, rr);
   }
-  for (std::size_t i = 0; i < v; ++i) {
+  generate_indexed(v, 0x67656d02ull, 2, [&](SplitMix64& rng, std::size_t i) {
     const double u = 2.0 * rng.uniform() - 1.0;
     const double phi = 2.0 * M_PI * rng.uniform();
     const double s = std::sqrt(1.0 - u * u);
     vx_[i] = static_cast<float>(max_r * s * std::cos(phi));
     vy_[i] = static_cast<float>(max_r * s * std::sin(phi));
     vz_[i] = static_cast<float>(max_r * u);
-  }
-  potential_.assign(v, 0.0f);
+  });
+  potential_ = HostVector<float>(v);
 }
 
 void Gem::bind(xcl::Context& ctx, xcl::Queue& q) {
@@ -333,7 +330,7 @@ void Gem::finish() {
 Validation Gem::validate() {
   const std::size_t a = mol_.atoms();
   const std::size_t v = vx_.size();
-  std::vector<float> want(v, 0.0f);
+  HostVector<float> want(v);
   // One vertex per pool iteration; each sums its atoms in order.
   xcl::ThreadPool::global().parallel_for(v, [&](std::size_t i) {
     double acc = 0.0;

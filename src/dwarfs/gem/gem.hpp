@@ -21,7 +21,7 @@ namespace eod::dwarfs {
 
 /// A synthetic molecule in pqr-like form: positions, charges, radii.
 struct Molecule {
-  std::vector<float> x, y, z, q, r;
+  HostVector<float> x, y, z, q, r;
   [[nodiscard]] std::size_t atoms() const noexcept { return x.size(); }
 };
 
@@ -96,8 +96,8 @@ class Gem final : public Dwarf {
   };
 
   Molecule mol_;
-  std::vector<float> vx_, vy_, vz_;  // surface vertices
-  std::vector<float> potential_;
+  HostVector<float> vx_, vy_, vz_;  // surface vertices
+  HostVector<float> potential_;
   std::vector<Tile> tiles_;  // filled by run(), consumed by finish()
 
   xcl::Queue* queue_ = nullptr;

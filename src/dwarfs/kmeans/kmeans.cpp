@@ -66,9 +66,11 @@ void KMeans::configure(const Params& params) {
         " points=" + std::to_string(params.points));
   }
   params_ = params;
-  SplitMix64 rng(kSeed);
-  features_.resize(params_.points * params_.features);
-  for (float& f : features_) f = rng.uniform(0.0f, 10.0f);
+  features_ = HostVector<float>(params_.points * params_.features);
+  generate_indexed(features_.size(), kSeed, 1,
+                   [&](SplitMix64& rng, std::size_t i) {
+                     features_[i] = rng.uniform(0.0f, 10.0f);
+                   });
   // Deterministic starting centroids: the first Cn points (the paper uses
   // random starting positions; a fixed choice keeps validation exact).
   centroids_.assign(features_.begin(),
@@ -266,7 +268,7 @@ Validation KMeans::validate() {
   const unsigned cn = params_.clusters;
   std::vector<float> ref_centroids(
       features_.begin(), features_.begin() + std::size_t{cn} * fn);
-  std::vector<std::int32_t> ref_member(params_.points, -1);
+  HostVector<std::int32_t> ref_member(params_.points, -1);
 
   for (unsigned round = 0; round < params_.rounds; ++round) {
     // Assignment is independent per point; the centroid update below stays

@@ -72,9 +72,9 @@ class KMeans final : public Dwarf {
   void host_update_centroids();
 
   Params params_;
-  std::vector<float> features_;      // Pn x Fn, row-major
+  HostVector<float> features_;       // Pn x Fn, row-major
   std::vector<float> centroids_;     // Cn x Fn (current host copy)
-  std::vector<std::int32_t> membership_;
+  HostVector<std::int32_t> membership_;
 
   xcl::Context* ctx_ = nullptr;
   xcl::Queue* queue_ = nullptr;

@@ -31,14 +31,16 @@ void Lud::configure(std::size_t n) {
   require(n >= B && n % B == 0, xcl::Status::kInvalidValue,
           "lud dimension must be a positive multiple of 16");
   n_ = n;
-  SplitMix64 rng(0x6c7564ull);  // "lud"
-  input_.resize(n_ * n_);
-  for (float& x : input_) x = rng.uniform(0.0f, 1.0f);
+  input_ = HostVector<float>(n_ * n_);
+  generate_indexed(input_.size(), 0x6c7564ull /* "lud" */, 1,
+                   [&](SplitMix64& rng, std::size_t i) {
+                     input_[i] = rng.uniform(0.0f, 1.0f);
+                   });
   // Diagonal dominance keeps the pivot-free factorization stable.
   for (std::size_t i = 0; i < n_; ++i) {
     input_[i * n_ + i] += static_cast<float>(n_);
   }
-  result_.assign(input_.size(), 0.0f);
+  result_ = HostVector<float>(input_.size());
 }
 
 void Lud::bind(xcl::Context& ctx, xcl::Queue& q) {
@@ -304,7 +306,7 @@ Validation Lud::validate() {
   // streams U's rows in i-t-j order, so every (i, j) still sums t = 0 ..
   // min(i, j) ascending in its own double accumulator.
   const std::size_t n = n_;
-  std::vector<float> recon(n * n, 0.0f);
+  HostVector<float> recon(n * n);
   xcl::ThreadPool::global().parallel_for(n, [&](std::size_t i) {
     std::vector<double> acc(n, 0.0);
     for (std::size_t t = 0; t <= i; ++t) {

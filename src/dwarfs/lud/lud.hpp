@@ -12,7 +12,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
-#include <vector>
+#include <span>
 
 #include "dwarfs/common.hpp"
 #include "xcl/kernel.hpp"
@@ -90,12 +90,12 @@ class Lud final : public Dwarf {
 
   // ---- partitioned-runner access (harness/partition) ----
   [[nodiscard]] std::size_t dim() const noexcept { return n_; }
-  [[nodiscard]] const std::vector<float>& input() const noexcept {
+  [[nodiscard]] std::span<const float> input() const noexcept {
     return input_;
   }
   /// Installs an externally computed factor (the partitioned runner's
   /// assembled panels) so validate()/result_signature() work unchanged.
-  void adopt_result(std::vector<float> result) {
+  void adopt_result(HostVector<float> result) {
     require(result.size() == input_.size(), xcl::Status::kInvalidValue,
             "lud adopted result has the wrong shape");
     result_ = std::move(result);
@@ -107,8 +107,8 @@ class Lud final : public Dwarf {
   void enqueue_internal(std::size_t k);
 
   std::size_t n_ = 0;
-  std::vector<float> input_;   // original matrix (restored every run)
-  std::vector<float> result_;  // factorized matrix read back by finish()
+  HostVector<float> input_;   // original matrix (restored every run)
+  HostVector<float> result_;  // factorized matrix read back by finish()
 
   xcl::Queue* queue_ = nullptr;
   std::optional<xcl::Buffer> matrix_buf_;

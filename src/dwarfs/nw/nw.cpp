@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "xcl/kernel.hpp"
+#include "xcl/thread_pool.hpp"
 
 namespace eod::dwarfs {
 
@@ -74,18 +75,21 @@ void Nw::configure(std::size_t n, std::int32_t penalty) {
     seq1[i] = static_cast<std::uint8_t>(rng.below(23));  // residue codes
     seq2[i] = static_cast<std::uint8_t>(rng.below(23));
   }
-  similarity_.assign(m * m, 0);
-  for (std::size_t i = 1; i < m; ++i) {
+  // Fresh storage reads zero, which row 0 and column 0 keep.
+  similarity_ = HostVector<std::int32_t>(m * m);
+  xcl::ThreadPool::global().parallel_for(m - 1, [&](std::size_t r) {
+    const std::size_t i = r + 1;
+    const auto& row = kBlosum62[seq1[i]];
     for (std::size_t j = 1; j < m; ++j) {
-      similarity_[i * m + j] = kBlosum62[seq1[i]][seq2[j]];
+      similarity_[i * m + j] = row[seq2[j]];
     }
-  }
-  init_matrix_.assign(m * m, 0);
+  });
+  init_matrix_ = HostVector<std::int32_t>(m * m);
   for (std::size_t i = 1; i < m; ++i) {
     init_matrix_[i * m] = -static_cast<std::int32_t>(i) * penalty_;
     init_matrix_[i] = -static_cast<std::int32_t>(i) * penalty_;
   }
-  result_.assign(m * m, 0);
+  result_ = HostVector<std::int32_t>(m * m);
 }
 
 void Nw::bind(xcl::Context& ctx, xcl::Queue& q) {
@@ -192,7 +196,7 @@ void Nw::finish() {
 
 Validation Nw::validate() {
   const std::size_t m = n_ + 1;
-  std::vector<std::int32_t> want = init_matrix_;
+  HostVector<std::int32_t> want = init_matrix_;
   for (std::size_t i = 1; i < m; ++i) {
     for (std::size_t j = 1; j < m; ++j) {
       const std::int32_t diag =

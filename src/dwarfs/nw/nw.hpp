@@ -12,7 +12,7 @@
 
 #include <cstdint>
 #include <optional>
-#include <vector>
+#include <span>
 
 #include "dwarfs/common.hpp"
 #include "xcl/kernel.hpp"
@@ -83,16 +83,16 @@ class Nw final : public Dwarf {
   // ---- partitioned-runner access (harness/partition) ----
   [[nodiscard]] std::size_t length() const noexcept { return n_; }
   [[nodiscard]] std::int32_t penalty() const noexcept { return penalty_; }
-  [[nodiscard]] const std::vector<std::int32_t>& similarity() const noexcept {
+  [[nodiscard]] std::span<const std::int32_t> similarity() const noexcept {
     return similarity_;
   }
   /// Boundary-initialised score matrix each sweep starts from.
-  [[nodiscard]] const std::vector<std::int32_t>& boundary() const noexcept {
+  [[nodiscard]] std::span<const std::int32_t> boundary() const noexcept {
     return init_matrix_;
   }
   /// Installs an externally computed score matrix (the partitioned runner's
   /// assembled stripes) so validate()/result_signature() work unchanged.
-  void adopt_result(std::vector<std::int32_t> result) {
+  void adopt_result(HostVector<std::int32_t> result) {
     require(result.size() == init_matrix_.size(), xcl::Status::kInvalidValue,
             "nw adopted result has the wrong shape");
     result_ = std::move(result);
@@ -103,9 +103,9 @@ class Nw final : public Dwarf {
 
   std::size_t n_ = 0;
   std::int32_t penalty_ = kPenalty;
-  std::vector<std::int32_t> init_matrix_;  // boundary-initialised scores
-  std::vector<std::int32_t> similarity_;   // (n+1)^2, BLOSUM62 lookups
-  std::vector<std::int32_t> result_;
+  HostVector<std::int32_t> init_matrix_;  // boundary-initialised scores
+  HostVector<std::int32_t> similarity_;   // (n+1)^2, BLOSUM62 lookups
+  HostVector<std::int32_t> result_;
 
   xcl::Queue* queue_ = nullptr;
   std::optional<xcl::Buffer> score_buf_;

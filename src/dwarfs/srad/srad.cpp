@@ -12,7 +12,7 @@ namespace {
 
 // ROI statistics (paper args fix the ROI at rows/cols 0..127, clamped to
 // the grid) -> q0sqr, the speckle-scale estimate.
-float roi_q0sqr(const std::vector<float>& j, std::size_t rows,
+float roi_q0sqr(std::span<const float> j, std::size_t rows,
                 std::size_t cols) {
   const std::size_t r1 = std::min<std::size_t>(127, rows - 1);
   const std::size_t c1 = std::min<std::size_t>(127, cols - 1);
@@ -61,11 +61,13 @@ void Srad::configure(const Params& params) {
   extent_ = {params.rows, params.cols};
   lambda_ = params.lambda;
   iterations_ = std::max(1u, params.iterations);
-  SplitMix64 rng(0x73726164ull);  // "srad"
-  j_in_.resize(extent_.rows * extent_.cols);
+  j_in_ = HostVector<float>(extent_.rows * extent_.cols);
   // Rodinia seeds J = exp(image); a positive speckled field works the same.
-  for (float& v : j_in_) v = std::exp(rng.uniform(0.0f, 1.0f));
-  j_out_.assign(j_in_.size(), 0.0f);
+  generate_indexed(j_in_.size(), 0x73726164ull /* "srad" */, 1,
+                   [&](SplitMix64& rng, std::size_t i) {
+                     j_in_[i] = std::exp(rng.uniform(0.0f, 1.0f));
+                   });
+  j_out_ = HostVector<float>(j_in_.size());
   q0sqr_ = roi_q0sqr(j_in_, extent_.rows, extent_.cols);
 }
 
@@ -345,8 +347,8 @@ void Srad::finish() {
 Validation Srad::validate() {
   const std::size_t rows = extent_.rows;
   const std::size_t cols = extent_.cols;
-  std::vector<float> jr = j_in_;
-  std::vector<float> cr(jr.size()), dnr(jr.size()), dsr(jr.size()),
+  HostVector<float> jr = j_in_;
+  HostVector<float> cr(jr.size()), dnr(jr.size()), dsr(jr.size()),
       dwr(jr.size()), der(jr.size());
   for (unsigned iter = 0; iter < iterations_; ++iter) {
   for (std::size_t idx = 0; idx < jr.size(); ++idx) {

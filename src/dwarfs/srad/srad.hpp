@@ -73,8 +73,8 @@ class Srad final : public Dwarf {
   float lambda_ = kLambda;
   unsigned iterations_ = 1;
   float q0sqr_ = 0.0f;
-  std::vector<float> j_in_;
-  std::vector<float> j_out_;
+  HostVector<float> j_in_;
+  HostVector<float> j_out_;
 
   xcl::Queue* queue_ = nullptr;
   std::optional<xcl::Buffer> j_buf_;

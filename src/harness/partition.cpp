@@ -270,7 +270,8 @@ PartitionedResult run_partitioned_nw(dwarfs::Nw& nw,
 
   // Assemble: boundary matrix overlaid with each stripe's computed rows.
   for (auto& d : dev) d->q.finish();
-  std::vector<std::int32_t> result = nw.boundary();
+  const std::span<const std::int32_t> boundary = nw.boundary();
+  xcl::HostVector<std::int32_t> result(boundary.begin(), boundary.end());
   for (std::size_t si = 0; si < nd; ++si) {
     const Shard& s = r.shards[si];
     const std::size_t row0 = s.block_begin * B + 1;
@@ -411,7 +412,7 @@ PartitionedResult run_partitioned_lud(
   }
 
   for (auto& d : dev) d->q.finish();
-  std::vector<float> result(n * n, 0.0f);
+  xcl::HostVector<float> result(n * n);
   for (std::size_t si = 0; si < nd; ++si) {
     const Shard& s = r.shards[si];
     const std::size_t off = s.block_begin * B * n;

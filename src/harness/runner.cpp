@@ -303,6 +303,7 @@ Measurement measure(dwarfs::Dwarf& dwarf, dwarfs::ProblemSize size,
       manifest.seed = options.seed;
       manifest.git_describe = obs::git_describe();
       manifest.timestamp = obs::utc_timestamp();
+      manifest.host_thp = obs::host_thp_mode();
       manifest.samples = m.time_samples_ms.size();
       manifest.loop_iterations = m.loop_iterations;
       const scibench::Summary t = m.time_summary();

@@ -59,6 +59,16 @@ const std::string& git_describe() {
   return desc;
 }
 
+const std::string& host_thp_mode() {
+  static const std::string mode = [] {
+    std::ifstream in("/sys/kernel/mm/transparent_hugepage/enabled");
+    std::string line;
+    if (!std::getline(in, line) || line.empty()) line = "unavailable";
+    return line;
+  }();
+  return mode;
+}
+
 std::string utc_timestamp() {
   const std::time_t now = std::time(nullptr);
   std::tm tm{};
@@ -94,6 +104,7 @@ std::string RunManifest::to_json(const MetricsSnapshot& metrics) const {
   out += "  \"seed\": " + std::to_string(seed) + ",\n";
   out += "  \"git_describe\": " + str(git_describe) + ",\n";
   out += "  \"timestamp\": " + str(timestamp) + ",\n";
+  out += "  \"host_thp\": " + str(host_thp) + ",\n";
   out += "  \"samples\": " + std::to_string(samples) + ",\n";
   out += "  \"loop_iterations\": " + std::to_string(loop_iterations) + ",\n";
   out += "  \"time_mean_ms\": " + num(time_mean_ms) + ",\n";

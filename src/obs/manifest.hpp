@@ -33,6 +33,9 @@ struct RunManifest {
   // Provenance.
   std::string git_describe;  ///< `git describe --always --dirty` or "unknown"
   std::string timestamp;     ///< ISO-8601 UTC wall time of the write
+  /// The host's transparent-huge-page mode (host_thp_mode()): setup on a
+  /// `never` host first-touches its large arrays in 4 KiB pages.
+  std::string host_thp;
 
   // Sample statistics of the measurement group.
   std::size_t samples = 0;
@@ -75,6 +78,11 @@ struct RunManifest {
 /// Result of `git describe --always --dirty` in the current directory,
 /// cached for the process; "unknown" when git or the repo is unavailable.
 [[nodiscard]] const std::string& git_describe();
+
+/// Contents of /sys/kernel/mm/transparent_hugepage/enabled (e.g.
+/// "always [madvise] never"), cached for the process; "unavailable" when
+/// the file cannot be read.
+[[nodiscard]] const std::string& host_thp_mode();
 
 /// Current UTC wall time as "YYYY-MM-DDTHH:MM:SSZ".
 [[nodiscard]] std::string utc_timestamp();

@@ -1,10 +1,11 @@
 // Device buffers (cl_mem analogue).  Storage is host memory — kernels run
 // functionally on the host — but allocation is accounted against the
 // context's simulated device, and transfers through a Queue are timed by the
-// device's interconnect model.  The zero fill comes from the allocator
-// (calloc), so a large buffer's pages stay untouched until first written: a
-// model-only measurement, whose transfers move no bytes, never faults them
-// in.
+// device's interconnect model.  Storage comes from allocate_host
+// (xcl/host_memory.hpp): zero-filled by calloc or, from 2 MiB up, by the
+// kernel's zero pages of a huge-page mapping, so a large buffer's pages stay
+// untouched until first written: a model-only measurement, whose transfers
+// move no bytes, never faults them in.
 //
 // Two kernel-facing accessors exist (DESIGN.md §10):
 //   * view<T>()   — a raw std::span.  Host-side setup/teardown code only;
@@ -16,9 +17,6 @@
 //     dispatch tier can observe every access.
 #pragma once
 
-#include <cstdlib>
-#include <memory>
-#include <new>
 #include <span>
 #include <string>
 #include <string_view>
@@ -28,6 +26,7 @@
 #include "xcl/check/session.hpp"
 #include "xcl/context.hpp"
 #include "xcl/error.hpp"
+#include "xcl/host_memory.hpp"
 
 namespace eod::xcl {
 
@@ -36,7 +35,7 @@ class Buffer {
   /// Host storage alignment: one cache line, so span-body vector loads and
   /// stores (xcl/simd.hpp) starting at the buffer base never straddle a
   /// line.  clCreateBuffer makes the same guarantee on real runtimes.
-  static constexpr std::size_t kHostAlignment = 64;
+  static constexpr std::size_t kHostAlignment = xcl::kHostAlignment;
 
   Buffer(Context& ctx, std::size_t bytes) : ctx_(&ctx) {
     require(bytes > 0, Status::kInvalidBufferSize, "zero-sized buffer");
@@ -45,17 +44,13 @@ class Buffer {
     ctx.on_alloc(bytes);
     // cl_mem contents are undefined at creation on a real runtime; this
     // buffer has always zero-filled (the old std::vector storage did), and
-    // dwarf setup code relies on it.  One calloc of the payload plus the
-    // alignment slack, aligned up inside.
-    std::size_t space = bytes + kHostAlignment - 1;
-    raw_ = std::calloc(space, 1);
-    if (raw_ == nullptr) {
+    // dwarf setup code relies on it.
+    try {
+      data_ = static_cast<std::byte*>(allocate_host(bytes));
+    } catch (...) {
       ctx.on_free(bytes);
-      throw std::bad_alloc();
+      throw;
     }
-    void* aligned = raw_;
-    data_ = static_cast<std::byte*>(
-        std::align(kHostAlignment, bytes, aligned, space));
     bytes_ = bytes;
     check::on_buffer_alloc(data_, bytes_);
   }
@@ -64,14 +59,12 @@ class Buffer {
 
   Buffer(Buffer&& other) noexcept
       : ctx_(other.ctx_),
-        raw_(other.raw_),
         data_(other.data_),
         bytes_(other.bytes_),
         name_(std::move(other.name_)) {
     // The heap block (the shadow-map key) moves with it; no checker
     // notification needed.
     other.ctx_ = nullptr;
-    other.raw_ = nullptr;
     other.data_ = nullptr;
     other.bytes_ = 0;
   }
@@ -83,12 +76,10 @@ class Buffer {
       // swap one large buffer for another.
       release();
       ctx_ = other.ctx_;
-      raw_ = other.raw_;
       data_ = other.data_;
       bytes_ = other.bytes_;
       name_ = std::move(other.name_);
       other.ctx_ = nullptr;
-      other.raw_ = nullptr;
       other.data_ = nullptr;
       other.bytes_ = 0;
     }
@@ -149,8 +140,7 @@ class Buffer {
 
  private:
   /// Returns context accounting, drops the checker shadow and frees the
-  /// calloc block for the current allocation (no-op for a moved-from
-  /// shell).
+  /// host block for the current allocation (no-op for a moved-from shell).
   void release() noexcept {
     if (ctx_ != nullptr && data_ != nullptr) {
       // clReleaseMemObject semantics under deferred execution (DESIGN.md
@@ -160,15 +150,13 @@ class Buffer {
     }
     if (data_ != nullptr) check::on_buffer_release(data_);
     if (ctx_ != nullptr) ctx_->on_free(bytes_);
-    std::free(raw_);
-    raw_ = nullptr;
+    free_host(data_, bytes_);
     data_ = nullptr;
     bytes_ = 0;
     ctx_ = nullptr;
   }
 
   Context* ctx_;
-  void* raw_ = nullptr;  ///< the calloc block; data_ is aligned inside it
   std::byte* data_ = nullptr;
   std::size_t bytes_ = 0;
   std::string name_;

@@ -47,9 +47,9 @@ enum class QueueMode : std::uint8_t { kInOrder, kOutOfOrder };
 
 /// Mode used by queues constructed without an explicit one.  kInOrder
 /// unless the EOD_QUEUE environment variable says otherwise ("ooo" /
-/// "out-of-order" / "inorder"): the no-recompile hatch the ooo-mode CI job
-/// uses to run the whole suite out-of-order and flush hidden enqueue-order
-/// assumptions.  Read once and cached.
+/// "out-of-order" / "inorder"): the no-recompile hatch that runs any
+/// program out-of-order to flush hidden enqueue-order assumptions.  Read
+/// once and cached.
 [[nodiscard]] QueueMode default_queue_mode() noexcept;
 
 class Queue {

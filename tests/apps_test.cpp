@@ -179,5 +179,18 @@ TEST(AppArgs, CsrDensityAboveOneExitsWithUsage) {
                     "0 <= density <= 1");
 }
 
+TEST(AppArgs, DwtLevelsBeyondTheExtentExitWithUsage) {
+  // The tiny 72x54 image halves six times before a side drops below 2;
+  // -l 40 used to print "dwt -l 40" and run six levels.
+  expect_usage_exit(run_app("dwt_app", {"--", "-l", "40"}),
+                    "72x54 image supports 1..6 levels");
+}
+
+TEST(AppArgs, DwtLevelsPastUnsignedRangeDoNotWrap) {
+  // 2^32 + 1 used to wrap to 1 level in the cast to unsigned.
+  expect_usage_exit(run_app("dwt_app", {"--", "-l", "4294967297"}),
+                    "got -l 4294967297");
+}
+
 }  // namespace
 }  // namespace eod::apps

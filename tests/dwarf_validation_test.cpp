@@ -9,8 +9,17 @@
 #include <cstdio>
 #include <stdexcept>
 
+#include "dwarfs/crc/crc.hpp"
+#include "dwarfs/csr/csr.hpp"
+#include "dwarfs/dwt/dwt.hpp"
+#include "dwarfs/dwt/image.hpp"
+#include "dwarfs/fft/fft.hpp"
+#include "dwarfs/gem/gem.hpp"
 #include "dwarfs/hmm/hmm.hpp"
 #include "dwarfs/kmeans/kmeans.hpp"
+#include "dwarfs/lud/lud.hpp"
+#include "dwarfs/nw/nw.hpp"
+#include "dwarfs/srad/srad.hpp"
 #include "dwarfs/registry.hpp"
 #include "harness/problem_size.hpp"
 #include "sim/testbed.hpp"
@@ -171,6 +180,114 @@ TEST_P(AllDwarfs, ValidationErrorAndSignatureMatchPins) {
     EXPECT_STREQ(error, pin->error) << GetParam() << ' ' << to_string(size);
     EXPECT_EQ(signature, pin->signature)
         << GetParam() << ' ' << to_string(size);
+  }
+}
+
+// ---- multi-chunk input pins ----
+//
+// The pins above stop at tiny and small, whose inputs fit in one
+// generate_indexed chunk.  These cover medium and large, which span many
+// chunks, so a wrong chunk offset or a reordered draw moves them.  Each is
+// FNV-1a over every generated byte (or the output, for the four dwarfs
+// pinned by one functional run), recorded before input synthesis went
+// counter-indexed.
+template <typename... Arrays>
+std::uint64_t hash_arrays(const Arrays&... arrays) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  ((h = hash_result<typename Arrays::value_type>(
+        std::span<const typename Arrays::value_type>(arrays.data(),
+                                                     arrays.size()),
+        h)),
+   ...);
+  return h;
+}
+
+std::uint64_t generated_input_hash(const std::string& what, ProblemSize s) {
+  if (what == "create_csr") {
+    const CsrMatrix m = create_csr(Csr::dim_for(s), Csr::kDensity, 0x637372ull);
+    return hash_arrays(m.row_ptr, m.cols, m.vals);
+  }
+  if (what == "generate_molecule") {
+    const Molecule m = generate_molecule(Gem::atoms_for(s), 0x67656dull);
+    return hash_arrays(m.x, m.y, m.z, m.q, m.r);
+  }
+  if (what == "leaf_image") {
+    const Dwt::Extent full = Dwt::extent_for(ProblemSize::kLarge);
+    const Dwt::Extent e = Dwt::extent_for(s);
+    const GrayImage leaf = generate_leaf_image(full.width, full.height);
+    if (e.width == full.width && e.height == full.height) {
+      return hash_arrays(leaf.pixels);
+    }
+    return hash_arrays(box_resize(leaf, e.width, e.height).pixels);
+  }
+  if (what == "lud_input") {
+    Lud lud;
+    lud.setup(s);
+    return hash_arrays(lud.input());
+  }
+  Nw nw;
+  nw.setup(s);
+  return what == "nw_similarity" ? hash_arrays(nw.similarity())
+                                 : hash_arrays(nw.boundary());
+}
+
+struct InputPin {
+  const char* what;
+  ProblemSize size;
+  std::uint64_t hash;
+};
+
+constexpr InputPin kInputPins[] = {
+    {"create_csr", ProblemSize::kMedium, 0x33f31aa9a5e7afull},
+    {"create_csr", ProblemSize::kLarge, 0x4547d7ee9f06787full},
+    {"generate_molecule", ProblemSize::kMedium, 0xfa49b03258b9584full},
+    {"generate_molecule", ProblemSize::kLarge, 0xa9904f6baf7825b7ull},
+    {"leaf_image", ProblemSize::kMedium, 0xfee0887efd03ad26ull},
+    {"leaf_image", ProblemSize::kLarge, 0x7594e253fdb3887aull},
+    {"lud_input", ProblemSize::kMedium, 0x6638ebfefee606d7ull},
+    {"lud_input", ProblemSize::kLarge, 0x70a88ca5a8ed333ull},
+    {"nw_similarity", ProblemSize::kMedium, 0x13882c8bbd0429e5ull},
+    {"nw_similarity", ProblemSize::kLarge, 0x3c60e33f956da3eaull},
+    {"nw_boundary", ProblemSize::kMedium, 0x4a681e937ebc89d5ull},
+    {"nw_boundary", ProblemSize::kLarge, 0xac55f79f7d4146f5ull},
+};
+
+TEST(MultiChunkInputPins, GeneratedInputsMatchPins) {
+  for (const InputPin& pin : kInputPins) {
+    const std::uint64_t hash = generated_input_hash(pin.what, pin.size);
+    EXPECT_EQ(hash, pin.hash)
+        << pin.what << ' ' << to_string(pin.size) << ": 0x" << std::hex << hash;
+  }
+}
+
+struct MediumRunPin {
+  const char* dwarf;
+  std::uint64_t hash;
+};
+
+// result_signature() after one functional run at medium; fft's signature is
+// 0 by design, so its pin hashes output() instead.
+constexpr MediumRunPin kMediumRunPins[] = {
+    {"kmeans", 0x8e567e27ac52cd81ull},
+    {"fft", 0x4849ff128b980abull},
+    {"srad", 0x2481edeb785e5b20ull},
+    {"crc", 0x8e894e9a1002bc9eull},
+};
+
+TEST(MultiChunkInputPins, MediumRunsMatchPins) {
+  for (const MediumRunPin& pin : kMediumRunPins) {
+    auto d = create_dwarf(pin.dwarf);
+    d->setup(ProblemSize::kMedium);
+    xcl::Context ctx(host_device());
+    xcl::Queue q(ctx);
+    d->bind(ctx, q);
+    d->run();
+    d->finish();
+    const auto* fft = dynamic_cast<const Fft*>(d.get());
+    const std::uint64_t hash =
+        fft != nullptr ? hash_arrays(fft->output()) : d->result_signature();
+    d->unbind();
+    EXPECT_EQ(hash, pin.hash) << pin.dwarf << ": 0x" << std::hex << hash;
   }
 }
 

@@ -562,6 +562,11 @@ TEST(ObsRoundTrip, MeasureWritesTraceMetricsAndManifest) {
   EXPECT_EQ(manifest.at("samples").number, 5.0);
   EXPECT_FALSE(manifest.at("git_describe").str.empty());
   EXPECT_FALSE(manifest.at("timestamp").str.empty());
+  // The THP mode explains a slow setup; "unavailable" off Linux.
+  EXPECT_EQ(manifest.at("host_thp").str, obs::host_thp_mode());
+  EXPECT_TRUE(obs::host_thp_mode() == "unavailable" ||
+              obs::host_thp_mode().find("never") != std::string::npos)
+      << obs::host_thp_mode();
   EXPECT_TRUE(manifest.at("validated").boolean);
   EXPECT_TRUE(manifest.at("validation_ok").boolean);
   // The manifest records the final (suffixed) artifact paths, so a

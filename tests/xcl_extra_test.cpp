@@ -312,10 +312,9 @@ TEST(BufferAlignment, HostStorageIsCacheLineAligned) {
   }
 }
 
-// The zero fill comes from the allocator.  40 MiB is past glibc's 32 MiB
-// ceiling on the dynamic mmap threshold, so it is always served from fresh
-// mmapped pages; the smaller sizes can come from the heap, where calloc
-// clears reused chunks itself.
+// The zero fill comes from the allocator.  40 MiB is an allocate_host
+// mapping, always fresh zero pages; the smaller sizes are calloc blocks that
+// can land on a reused heap chunk, which calloc clears itself.
 TEST(BufferAlignment, StorageIsZeroFilledAndAlignedOnHeapAndMmapPaths) {
   Context ctx(dev());
   for (const std::size_t bytes :
