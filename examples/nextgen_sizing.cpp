@@ -5,9 +5,11 @@
 //
 // Defines a hypothetical next-gen CPU (bigger L1/L2, victim-cache-style
 // L3), re-derives the tiny/small/medium/large scale parameters for kmeans,
-// fft and lud with the generalized solver, and verifies each re-derived
-// class with the trace-driven cache simulator (for the trace-enabled
-// kmeans), exactly as §4.4 verifies the Skylake classes with PAPI.
+// fft and lud with the generalized solver, and verifies the re-derived
+// tiny and small kmeans classes with the trace-driven cache simulator,
+// exactly as §4.4 verifies the Skylake classes with PAPI.  (The medium
+// class fills a 96 MiB L3: its two replays stream about 0.5e9 accesses,
+// seconds of simulation for an example.)
 #include <iomanip>
 #include <map>
 #include <iostream>
@@ -81,8 +83,7 @@ int main() {
   std::cout << "\nverifying the re-derived kmeans classes with the cache "
                "simulator:\n";
   int failures = 0;
-  for (const ProblemSize s :
-       {ProblemSize::kTiny, ProblemSize::kSmall, ProblemSize::kMedium}) {
+  for (const ProblemSize s : {ProblemSize::kTiny, ProblemSize::kSmall}) {
     dwarfs::KMeans km;
     dwarfs::KMeans::Params p;
     p.points = kmeans_phi[s];

@@ -56,6 +56,10 @@ class Crc final : public Dwarf {
   [[nodiscard]] std::uint64_t result_signature() const override {
     return hash_result<std::uint32_t>(page_crcs_);
   }
+  /// One CRC-32 per kPageBytes page, as finish() read them back.
+  [[nodiscard]] std::span<const std::uint32_t> page_crcs() const noexcept {
+    return page_crcs_;
+  }
 
  private:
   [[nodiscard]] std::size_t pages() const {

@@ -1,8 +1,11 @@
 #include "dwarfs/cwt/cwt.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <memory>
 
 #include "xcl/kernel.hpp"
+#include "xcl/simd.hpp"
 #include "xcl/thread_pool.hpp"
 
 namespace eod::dwarfs {
@@ -47,6 +50,7 @@ void Cwt::configure(std::size_t n, unsigned scales) {
           "cwt needs at least one scale");
   n_ = n;
   scales_ = scales;
+  span_taps_.reset();
   // Test signal: two chirping tones plus noise -- structured content at
   // several scales, like the suite's other generated inputs.
   signal_ = HostVector<float>(n_);
@@ -98,34 +102,70 @@ void Cwt::run() {
     w[idx] = norm * std::sqrt(re * re + im * im);
   });
 
-  // Span tier: a run of (scale, translation) coefficients per call.  Most
-  // groups sit inside one scale row, so the scale-dependent radius is
-  // loop-invariant in practice and the tap loop vectorizes.
-  kernel.span([=](std::size_t begin, std::size_t end) {
+  // Span tier: a run of (scale, translation) coefficients per call.  A
+  // tap's Gaussian and phase depend only on its scale and offset t - b, so
+  // they are tabulated once per scale from the item body's own float
+  // expressions; the body then multiplies in the item's order, (x * g) *
+  // cos.  W coefficients of one scale whose windows lie inside the signal
+  // ride in vfloat lanes, lane l reading x[t + l] against the same tap, so
+  // each lane still sums its taps in t order; the rest run one at a time.
+  // Model-only queues never run a body and skip the tables.
+  if (queue_->functional() && !span_taps_) {
+    auto taps = std::make_shared<std::vector<ScaleTaps>>(scales);
+    for (unsigned j = 0; j < scales; ++j) {
+      const float s = static_cast<float>(scale_of(j));
+      ScaleTaps& k = (*taps)[j];
+      k.radius = static_cast<std::ptrdiff_t>(kSupport * s);
+      for (std::ptrdiff_t d = -k.radius; d <= k.radius; ++d) {
+        const float u = static_cast<float>(d) / s;
+        k.g.push_back(std::exp(-0.5f * u * u));
+        k.cos.push_back(std::cos(static_cast<float>(kOmega0) * u));
+        k.sin.push_back(std::sin(static_cast<float>(kOmega0) * u));
+      }
+    }
+    span_taps_ = std::move(taps);
+  }
+  kernel.span([=, taps = span_taps_](std::size_t begin, std::size_t end) {
+    namespace sv = xcl::simd;
+    constexpr std::size_t W = sv::kLanes;
     const float* EOD_RESTRICT xs = x.data();
     float* EOD_RESTRICT ws = w.data();
-    const std::size_t total = std::size_t{scales} * n;
-    for (std::size_t idx = begin, last = std::min(end, total); idx < last;
-         ++idx) {
+    const auto nn = static_cast<std::ptrdiff_t>(n);
+    const std::size_t last = std::min(end, std::size_t{scales} * n);
+    for (std::size_t idx = begin; idx < last;) {
       const unsigned j = static_cast<unsigned>(idx / n);
-      const std::size_t b = idx % n;
-      const float s = static_cast<float>(scale_of(j));
-      const auto radius = static_cast<std::ptrdiff_t>(kSupport * s);
-      const auto bb = static_cast<std::ptrdiff_t>(b);
-      const auto nn = static_cast<std::ptrdiff_t>(n);
+      const ScaleTaps& k = (*taps)[j];
+      const float* EOD_RESTRICT g = k.g.data();
+      const float* EOD_RESTRICT c = k.cos.data();
+      const float* EOD_RESTRICT sn = k.sin.data();
+      const float norm = 1.0f / std::sqrt(static_cast<float>(scale_of(j)));
+      const auto bb = static_cast<std::ptrdiff_t>(idx % n);
+      if (idx + W <= last && bb >= k.radius &&
+          bb + static_cast<std::ptrdiff_t>(W) + k.radius <= nn) {
+        const float* xw = xs + (bb - k.radius);
+        sv::vfloat re = sv::vbroadcast(0.0f);
+        sv::vfloat im = sv::vbroadcast(0.0f);
+        for (std::size_t d = 0; d < k.g.size(); ++d) {
+          const sv::vfloat xg = sv::vload(xw + d) * sv::vbroadcast(g[d]);
+          re += xg * sv::vbroadcast(c[d]);
+          im = im - xg * sv::vbroadcast(sn[d]);
+        }
+        sv::vstore(ws + idx,
+                   sv::vbroadcast(norm) * sv::vsqrt(re * re + im * im));
+        idx += W;
+        continue;
+      }
       float re = 0.0f;
       float im = 0.0f;
-      for (std::ptrdiff_t t = std::max<std::ptrdiff_t>(0, bb - radius);
-           t <= std::min(nn - 1, bb + radius); ++t) {
-        const float u = static_cast<float>(t - bb) / s;
-        const float g = std::exp(-0.5f * u * u);
-        re += xs[static_cast<std::size_t>(t)] * g *
-              std::cos(static_cast<float>(kOmega0) * u);
-        im -= xs[static_cast<std::size_t>(t)] * g *
-              std::sin(static_cast<float>(kOmega0) * u);
+      for (std::ptrdiff_t t = std::max<std::ptrdiff_t>(0, bb - k.radius);
+           t <= std::min(nn - 1, bb + k.radius); ++t) {
+        const auto d = static_cast<std::size_t>(t - bb + k.radius);
+        const float xg = xs[static_cast<std::size_t>(t)] * g[d];
+        re += xg * c[d];
+        im -= xg * sn[d];
       }
-      const float norm = 1.0f / std::sqrt(s);
       ws[idx] = norm * std::sqrt(re * re + im * im);
+      ++idx;
     }
   });
 

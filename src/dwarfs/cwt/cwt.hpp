@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstddef>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -58,10 +59,18 @@ class Cwt final : public Dwarf {
   }
 
  private:
+  /// One scale's Morlet taps for the span body, indexed by t - b + radius.
+  struct ScaleTaps {
+    std::ptrdiff_t radius = 0;
+    std::vector<float> g, cos, sin;
+  };
+
   std::size_t n_ = 0;
   unsigned scales_ = kScales;
   HostVector<float> signal_;
   HostVector<float> magnitude_;  // scales_ x n_
+  /// Per-scale span taps; built by the first functional run().
+  std::shared_ptr<const std::vector<ScaleTaps>> span_taps_;
 
   xcl::Queue* queue_ = nullptr;
   std::optional<xcl::Buffer> signal_buf_;

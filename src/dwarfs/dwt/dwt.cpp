@@ -5,6 +5,7 @@
 #include <string>
 
 #include "xcl/kernel.hpp"
+#include "xcl/simd.hpp"
 #include "xcl/thread_pool.hpp"
 
 namespace eod::dwarfs {
@@ -267,6 +268,10 @@ void Dwt::reference_dwt53(std::span<double> data, std::size_t width,
   // steps walk i outermost with the columns streaming inside, and each
   // sub-pass only reads rows the one before it wrote, so every coefficient
   // sees the same operands in the same order as a column-at-a-time walk.
+  // The vertical steps are element-wise along a row, so columns ride in
+  // double lanes.
+  namespace sv = xcl::simd;
+  constexpr std::size_t W = sv::kDoubleLanes;
   xcl::ThreadPool& pool = xcl::ThreadPool::global();
   HostVector<double> temp(data.size());
   std::size_t lw = width;
@@ -300,9 +305,14 @@ void Dwt::reference_dwt53(std::span<double> data, std::size_t width,
       const double* odd = &temp[(2 * i + 1) * width];
       const double* even = &temp[2 * i * width];
       const double* next = &temp[rr * width];
-      for (std::size_t c = 0; c < lw; ++c) {
-        out[c] = odd[c] - 0.5 * (even[c] + next[c]);
+      std::size_t c = 0;
+      for (; c + W <= lw; c += W) {
+        sv::vstore_f64(out + c, sv::vload_f64(odd + c) -
+                                    sv::vbroadcast_f64(0.5) *
+                                        (sv::vload_f64(even + c) +
+                                         sv::vload_f64(next + c)));
       }
+      for (; c < lw; ++c) out[c] = odd[c] - 0.5 * (even[c] + next[c]);
     });
     pool.parallel_for(ns, [&](std::size_t i) {
       const std::size_t dl = i == 0 ? 0 : i - 1;
@@ -311,9 +321,14 @@ void Dwt::reference_dwt53(std::span<double> data, std::size_t width,
       const double* even = &temp[2 * i * width];
       const double* left = &data[(ns + dl) * width];
       const double* right = &data[(ns + dr) * width];
-      for (std::size_t c = 0; c < lw; ++c) {
-        out[c] = even[c] + 0.25 * (left[c] + right[c]);
+      std::size_t c = 0;
+      for (; c + W <= lw; c += W) {
+        sv::vstore_f64(out + c, sv::vload_f64(even + c) +
+                                    sv::vbroadcast_f64(0.25) *
+                                        (sv::vload_f64(left + c) +
+                                         sv::vload_f64(right + c)));
       }
+      for (; c < lw; ++c) out[c] = even[c] + 0.25 * (left[c] + right[c]);
     });
     lw = (lw + 1) / 2;
     lh = (lh + 1) / 2;
@@ -379,12 +394,23 @@ void Dwt::reference_idwt53(std::span<double> data, std::size_t width,
 }
 
 Validation Dwt::validate() {
-  HostVector<double> ref(input_.begin(), input_.end());
-  reference_dwt53(ref, extent_.width, extent_.height, levels_);
+  // The float <-> double staging copies are element-wise and run on the
+  // pool by rows.
+  xcl::ThreadPool& pool = xcl::ThreadPool::global();
+  const std::size_t width = extent_.width;
+  HostVector<double> ref(input_.size());
+  pool.parallel_for(extent_.height, [&](std::size_t r) {
+    for (std::size_t c = r * width; c < (r + 1) * width; ++c) {
+      ref[c] = input_[c];
+    }
+  });
+  reference_dwt53(ref, width, extent_.height, levels_);
   HostVector<float> want(ref.size());
-  for (std::size_t i = 0; i < ref.size(); ++i) {
-    want[i] = static_cast<float>(ref[i]);
-  }
+  pool.parallel_for(extent_.height, [&](std::size_t r) {
+    for (std::size_t c = r * width; c < (r + 1) * width; ++c) {
+      want[c] = static_cast<float>(ref[c]);
+    }
+  });
   return validate_norm(output_, want, 1e-4, "dwt CDF 5/3 coefficients");
 }
 

@@ -135,43 +135,93 @@ void Fft::finish() {
 void Fft::reference_fft(std::span<std::complex<double>> a) {
   const std::size_t n = a.size();
   if (n < 2) return;
-  // Iterative Cooley-Tukey with bit-reversal permutation.
-  for (std::size_t i = 1, j = 0; i < n; ++i) {
-    std::size_t bit = n >> 1;
-    for (; j & bit; bit >>= 1) j ^= bit;
-    j ^= bit;
-    if (i < j) std::swap(a[i], a[j]);
-  }
-  // Each stage's twiddles come from the same w *= wl recurrence every
-  // block restarts from 1, so the stage's n/2 butterflies are independent
-  // and bit-identical to a block-by-block walk; they run on the pool in
-  // contiguous chunks.
+  xcl::ThreadPool& pool = xcl::ThreadPool::global();
+  // Iterative Cooley-Tukey with bit-reversal permutation.  Each pair
+  // (i, rev(i)) is swapped by the chunk holding its smaller index, so the
+  // chunks touch disjoint pairs; inside a chunk j follows the serial loop's
+  // reversed increment from rev(first index).
   constexpr std::size_t kChunk = 2048;
-  const std::size_t butterflies = n / 2;
-  HostVector<std::complex<double>> twiddle(butterflies);  // first half used
-  for (std::size_t len = 2; len <= n; len <<= 1) {
-    const std::size_t half = len / 2;
-    const double ang = -2.0 * M_PI / static_cast<double>(len);
-    const std::complex<double> wl(std::cos(ang), std::sin(ang));
-    std::complex<double> w(1.0, 0.0);
-    for (std::size_t j = 0; j < half; ++j) {
-      twiddle[j] = w;
-      w *= wl;
+  const auto chunks = [&](std::size_t count) {
+    return (count + kChunk - 1) / kChunk;
+  };
+  pool.parallel_for(chunks(n), [&](std::size_t chunk) {
+    const std::size_t lo = chunk * kChunk;
+    std::size_t j = 0;
+    for (std::size_t bit = 1, rbit = n >> 1; rbit != 0; bit <<= 1, rbit >>= 1) {
+      if (lo & bit) j |= rbit;
     }
-    xcl::ThreadPool::global().parallel_for(
-        (butterflies + kChunk - 1) / kChunk, [&](std::size_t chunk) {
-          const std::size_t end = std::min(butterflies, (chunk + 1) * kChunk);
-          for (std::size_t b = chunk * kChunk; b < end; ++b) {
-            // Butterfly b is j = b mod half of block b / half (n and len
-            // are powers of two).
-            const std::size_t j = b & (half - 1);
-            const std::size_t top = 2 * b - j;
-            const std::complex<double> u = a[top];
-            const std::complex<double> v = a[top + half] * twiddle[j];
-            a[top] = u + v;
-            a[top + half] = u - v;
-          }
-        });
+    for (std::size_t i = lo; i < std::min(n, lo + kChunk); ++i) {
+      if (i < j) std::swap(a[i], a[j]);
+      std::size_t bit = n >> 1;
+      for (; j & bit; bit >>= 1) j ^= bit;
+      j ^= bit;
+    }
+  });
+  // Each stage's twiddles come from the same w *= wl recurrence every
+  // block restarts from 1, so a stage's butterflies are independent and
+  // bit-identical to a block-by-block walk.  The stages up to `local`
+  // points (at most kLocal, and small enough to leave 16 blocks) stay
+  // inside aligned blocks, so one pool task per block runs all of them;
+  // the wider stages run on the pool in contiguous chunks.
+  constexpr std::size_t kLocal = 8192;
+  const std::size_t local = std::clamp<std::size_t>(n / 16, 2, kLocal);
+  // Twiddles live as separate real and imaginary tables.  Stored as pairs,
+  // GCC 12 turns the w *= wl recurrence into one vector complex multiply,
+  // which on FMA targets it fuses (vfmaddsub) even under
+  // -ffp-contract=off, so the twiddles would round differently there.
+  // Stage len's twiddles go to [first, first + len/2).
+  struct Twiddles {
+    HostVector<double> re, im;
+    explicit Twiddles(std::size_t size) : re(size), im(size) {}
+    void tabulate(std::size_t len, std::size_t first) {
+      const double ang = -2.0 * M_PI / static_cast<double>(len);
+      const std::complex<double> wl(std::cos(ang), std::sin(ang));
+      std::complex<double> w(1.0, 0.0);
+      for (std::size_t j = 0; j < len / 2; ++j) {
+        re[first + j] = w.real();
+        im[first + j] = w.imag();
+        w *= wl;
+      }
+    }
+  };
+  const auto butterflies = [&](std::size_t len, std::size_t b,
+                               std::size_t end, const Twiddles& tw,
+                               std::size_t first) {
+    const std::size_t half = len / 2;
+    for (; b < end; ++b) {
+      // Butterfly b is j = b mod half of block b / half (n and len are
+      // powers of two).
+      const std::size_t j = b & (half - 1);
+      const std::size_t top = 2 * b - j;
+      const std::complex<double> v =
+          a[top + half] *
+          std::complex<double>(tw.re[first + j], tw.im[first + j]);
+      // u + v and u - v part by part, as complex addition is defined, so
+      // u never round-trips through memory.
+      const double ur = a[top].real();
+      const double ui = a[top].imag();
+      a[top] = {ur + v.real(), ui + v.imag()};
+      a[top + half] = {ur - v.real(), ui - v.imag()};
+    }
+  };
+  // The local stages' tables back to back: stage len starts at len/2 - 1.
+  Twiddles local_twiddles(local - 1);
+  for (std::size_t len = 2; len <= local; len <<= 1) {
+    local_twiddles.tabulate(len, len / 2 - 1);
+  }
+  pool.parallel_for(n / local, [&](std::size_t block) {
+    const std::size_t first = block * local / 2;
+    for (std::size_t len = 2; len <= local; len <<= 1) {
+      butterflies(len, first, first + local / 2, local_twiddles, len / 2 - 1);
+    }
+  });
+  Twiddles twiddle(n / 2);  // first half used
+  for (std::size_t len = 2 * local; len <= n; len <<= 1) {
+    twiddle.tabulate(len, 0);
+    pool.parallel_for(chunks(n / 2), [&](std::size_t chunk) {
+      butterflies(len, chunk * kChunk, std::min(n / 2, (chunk + 1) * kChunk),
+                  twiddle, 0);
+    });
   }
 }
 
@@ -183,21 +233,29 @@ void Fft::reference_ifft(std::span<std::complex<double>> a) {
 }
 
 Validation Fft::validate() {
+  // The staging copies run on the pool in chunks.
+  constexpr std::size_t kChunk = 4096;
+  xcl::ThreadPool& pool = xcl::ThreadPool::global();
+  const std::size_t chunks = (n_ + kChunk - 1) / kChunk;
   HostVector<std::complex<double>> ref(n_);
-  for (std::size_t i = 0; i < n_; ++i) {
-    ref[i] = {static_cast<double>(input_[2 * i]),
-              static_cast<double>(input_[2 * i + 1])};
-  }
+  pool.parallel_for(chunks, [&](std::size_t c) {
+    for (std::size_t i = c * kChunk; i < std::min(n_, (c + 1) * kChunk); ++i) {
+      ref[i] = {static_cast<double>(input_[2 * i]),
+                static_cast<double>(input_[2 * i + 1])};
+    }
+  });
   if (dir_ == FftDirection::kForward) {
     reference_fft(ref);
   } else {
     reference_ifft(ref);
   }
   HostVector<float> want(2 * n_);
-  for (std::size_t i = 0; i < n_; ++i) {
-    want[2 * i] = static_cast<float>(ref[i].real());
-    want[2 * i + 1] = static_cast<float>(ref[i].imag());
-  }
+  pool.parallel_for(chunks, [&](std::size_t c) {
+    for (std::size_t i = c * kChunk; i < std::min(n_, (c + 1) * kChunk); ++i) {
+      want[2 * i] = static_cast<float>(ref[i].real());
+      want[2 * i + 1] = static_cast<float>(ref[i].imag());
+    }
+  });
   return validate_norm(output_, want, 1e-3, "fft vs double-precision CT");
 }
 

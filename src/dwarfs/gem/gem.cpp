@@ -328,20 +328,57 @@ void Gem::finish() {
 }
 
 Validation Gem::validate() {
+  // Every vertex sums its atoms in order in its own double accumulator.
+  // W vertices ride in double lanes against one broadcast atom: subtract,
+  // squares summed left to right, + 1e-6, sqrtpd, divpd and the add are
+  // each correctly rounded per lane, so every lane reproduces the scalar
+  // loop.  Chunks of vertices run on the pool; the sub-W tail is scalar.
+  namespace sv = xcl::simd;
+  constexpr std::size_t W = sv::kDoubleLanes;
+  constexpr std::size_t kChunk = 64;  // vertices per pool task
   const std::size_t a = mol_.atoms();
   const std::size_t v = vx_.size();
+  HostVector<double> atoms(4 * a);  // x, y, z, q per atom, widened once
+  for (std::size_t k = 0; k < a; ++k) {
+    atoms[4 * k] = mol_.x[k];
+    atoms[4 * k + 1] = mol_.y[k];
+    atoms[4 * k + 2] = mol_.z[k];
+    atoms[4 * k + 3] = mol_.q[k];
+  }
   HostVector<float> want(v);
-  // One vertex per pool iteration; each sums its atoms in order.
-  xcl::ThreadPool::global().parallel_for(v, [&](std::size_t i) {
-    double acc = 0.0;
-    for (std::size_t k = 0; k < a; ++k) {
-      const double dx = static_cast<double>(vx_[i]) - mol_.x[k];
-      const double dy = static_cast<double>(vy_[i]) - mol_.y[k];
-      const double dz = static_cast<double>(vz_[i]) - mol_.z[k];
-      acc += mol_.q[k] / std::sqrt(dx * dx + dy * dy + dz * dz + 1e-6);
-    }
-    want[i] = static_cast<float>(acc);
-  });
+  xcl::ThreadPool::global().parallel_for(
+      (v + kChunk - 1) / kChunk, [&](std::size_t chunk) {
+        const std::size_t end = std::min(v, (chunk + 1) * kChunk);
+        std::size_t i = chunk * kChunk;
+        const sv::vdouble soft = sv::vbroadcast_f64(1e-6);
+        for (; i + W <= end; i += W) {
+          const sv::vdouble px = sv::vload_widen(&vx_[i]);
+          const sv::vdouble py = sv::vload_widen(&vy_[i]);
+          const sv::vdouble pz = sv::vload_widen(&vz_[i]);
+          sv::vdouble acc = sv::vbroadcast_f64(0.0);
+          for (std::size_t k = 0; k < a; ++k) {
+            const sv::vdouble dx = px - sv::vbroadcast_f64(atoms[4 * k]);
+            const sv::vdouble dy = py - sv::vbroadcast_f64(atoms[4 * k + 1]);
+            const sv::vdouble dz = pz - sv::vbroadcast_f64(atoms[4 * k + 2]);
+            acc += sv::vbroadcast_f64(atoms[4 * k + 3]) /
+                   sv::vsqrt(dx * dx + dy * dy + dz * dz + soft);
+          }
+          for (std::size_t l = 0; l < W; ++l) {
+            want[i + l] = static_cast<float>(acc[l]);
+          }
+        }
+        for (; i < end; ++i) {
+          double acc = 0.0;
+          for (std::size_t k = 0; k < a; ++k) {
+            const double dx = static_cast<double>(vx_[i]) - atoms[4 * k];
+            const double dy = static_cast<double>(vy_[i]) - atoms[4 * k + 1];
+            const double dz = static_cast<double>(vz_[i]) - atoms[4 * k + 2];
+            acc += atoms[4 * k + 3] /
+                   std::sqrt(dx * dx + dy * dy + dz * dz + 1e-6);
+          }
+          want[i] = static_cast<float>(acc);
+        }
+      });
   return validate_norm(potential_, want, 1e-3, "gem surface potential");
 }
 

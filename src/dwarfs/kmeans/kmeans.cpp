@@ -204,24 +204,26 @@ xcl::Event KMeans::enqueue_assign(std::size_t begin, std::size_t end,
 }
 
 void KMeans::host_update_centroids() {
+  // Each centroid is the mean of its points summed in point order; the
+  // points are listed per cluster first, then each cluster sums its own
+  // list on a pool task.
   const unsigned fn = params_.features;
   const unsigned cn = params_.clusters;
-  std::vector<double> sums(std::size_t{cn} * fn, 0.0);
-  std::vector<std::size_t> counts(cn, 0);
+  std::vector<std::vector<std::size_t>> members(cn);
   for (std::size_t i = 0; i < params_.points; ++i) {
-    const auto c = static_cast<unsigned>(membership_[i]);
-    ++counts[c];
-    for (unsigned f = 0; f < fn; ++f) {
-      sums[std::size_t{c} * fn + f] += features_[i * fn + f];
-    }
+    members[static_cast<unsigned>(membership_[i])].push_back(i);
   }
-  for (unsigned c = 0; c < cn; ++c) {
-    if (counts[c] == 0) continue;  // empty cluster keeps its centroid
-    for (unsigned f = 0; f < fn; ++f) {
-      centroids_[std::size_t{c} * fn + f] = static_cast<float>(
-          sums[std::size_t{c} * fn + f] / static_cast<double>(counts[c]));
+  xcl::ThreadPool::global().parallel_for(cn, [&](std::size_t c) {
+    if (members[c].empty()) return;  // empty cluster keeps its centroid
+    std::vector<double> sums(fn, 0.0);
+    for (const std::size_t i : members[c]) {
+      for (unsigned f = 0; f < fn; ++f) sums[f] += features_[i * fn + f];
     }
-  }
+    for (unsigned f = 0; f < fn; ++f) {
+      centroids_[c * fn + f] = static_cast<float>(
+          sums[f] / static_cast<double>(members[c].size()));
+    }
+  });
 }
 
 void KMeans::run() {
@@ -270,42 +272,77 @@ Validation KMeans::validate() {
       features_.begin(), features_.begin() + std::size_t{cn} * fn);
   HostVector<std::int32_t> ref_member(params_.points, -1);
 
+  // Each point's distances keep the scalar loop's subtract/square/
+  // accumulate order, so W points ride in vfloat lanes, chunks of points on
+  // the pool; a feature column is gathered once for all clusters.  The
+  // update lists each cluster's points in point order, then sums each
+  // cluster's list on its own pool task.
+  namespace sv = xcl::simd;
+  constexpr std::size_t W = sv::kLanes;
+  constexpr std::size_t kChunk = 256;  // points per pool task
+  const std::size_t pn = params_.points;
+  const float* feat = features_.data();
+  xcl::ThreadPool& pool = xcl::ThreadPool::global();
   for (unsigned round = 0; round < params_.rounds; ++round) {
-    // Assignment is independent per point; the centroid update below stays
-    // a serial sum in point order.
-    xcl::ThreadPool::global().parallel_for(params_.points, [&](std::size_t i) {
-      float best = HUGE_VALF;
-      std::int32_t best_c = 0;
-      for (unsigned c = 0; c < cn; ++c) {
-        float dist = 0.0f;
+    pool.parallel_for((pn + kChunk - 1) / kChunk, [&](std::size_t chunk) {
+      const std::size_t end = std::min(pn, (chunk + 1) * kChunk);
+      std::vector<sv::vfloat> dist(cn);
+      std::size_t i = chunk * kChunk;
+      for (; i + W <= end; i += W) {
+        for (sv::vfloat& d : dist) d = sv::vbroadcast(0.0f);
         for (unsigned f = 0; f < fn; ++f) {
-          const float d =
-              features_[i * fn + f] - ref_centroids[std::size_t{c} * fn + f];
-          dist += d * d;
+          // Unrolled, so the column is assembled in a register.
+          sv::vfloat col;
+#pragma GCC unroll 16
+          for (std::size_t l = 0; l < W; ++l) col[l] = feat[(i + l) * fn + f];
+          for (unsigned c = 0; c < cn; ++c) {
+            const sv::vfloat d =
+                col - sv::vbroadcast(ref_centroids[std::size_t{c} * fn + f]);
+            dist[c] += d * d;
+          }
         }
-        if (dist < best) {
-          best = dist;
-          best_c = static_cast<std::int32_t>(c);
+        sv::vfloat best = sv::vbroadcast(HUGE_VALF);
+        sv::vint32 best_c = sv::vbroadcast_i32(0);
+        for (unsigned c = 0; c < cn; ++c) {
+          const sv::vint32 closer = sv::vlt(dist[c], best);
+          best = sv::vselect(closer, dist[c], best);
+          best_c = sv::vselect_i32(
+              closer, sv::vbroadcast_i32(static_cast<std::int32_t>(c)),
+              best_c);
         }
+        for (std::size_t l = 0; l < W; ++l) ref_member[i + l] = best_c[l];
       }
-      ref_member[i] = best_c;
+      for (; i < end; ++i) {
+        float best = HUGE_VALF;
+        std::int32_t best_c = 0;
+        for (unsigned c = 0; c < cn; ++c) {
+          float dist_c = 0.0f;
+          for (unsigned f = 0; f < fn; ++f) {
+            const float d =
+                feat[i * fn + f] - ref_centroids[std::size_t{c} * fn + f];
+            dist_c += d * d;
+          }
+          if (dist_c < best) {
+            best = dist_c;
+            best_c = static_cast<std::int32_t>(c);
+          }
+        }
+        ref_member[i] = best_c;
+      }
     });
-    std::vector<double> sums(std::size_t{cn} * fn, 0.0);
-    std::vector<std::size_t> counts(cn, 0);
-    for (std::size_t i = 0; i < params_.points; ++i) {
-      const auto c = static_cast<unsigned>(ref_member[i]);
-      ++counts[c];
-      for (unsigned f = 0; f < fn; ++f) {
-        sums[std::size_t{c} * fn + f] += features_[i * fn + f];
+    std::vector<std::vector<std::size_t>> members(cn);
+    for (std::size_t i = 0; i < pn; ++i) members[ref_member[i]].push_back(i);
+    pool.parallel_for(cn, [&](std::size_t c) {
+      if (members[c].empty()) return;  // empty cluster keeps its centroid
+      std::vector<double> sums(fn, 0.0);
+      for (const std::size_t i : members[c]) {
+        for (unsigned f = 0; f < fn; ++f) sums[f] += feat[i * fn + f];
       }
-    }
-    for (unsigned c = 0; c < cn; ++c) {
-      if (counts[c] == 0) continue;
       for (unsigned f = 0; f < fn; ++f) {
-        ref_centroids[std::size_t{c} * fn + f] = static_cast<float>(
-            sums[std::size_t{c} * fn + f] / static_cast<double>(counts[c]));
+        ref_centroids[c * fn + f] = static_cast<float>(
+            sums[f] / static_cast<double>(members[c].size()));
       }
-    }
+    });
   }
 
   Validation v;

@@ -61,6 +61,10 @@ class KMeans final : public Dwarf {
   [[nodiscard]] std::uint64_t result_signature() const override {
     return hash_result<std::int32_t>(membership_);
   }
+  /// Cluster index per point, as finish() read it back.
+  [[nodiscard]] std::span<const std::int32_t> membership() const noexcept {
+    return membership_;
+  }
 
  private:
   /// Enqueues the assign kernel over points [begin, end) after `wait`,

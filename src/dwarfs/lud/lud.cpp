@@ -1,8 +1,10 @@
 #include "dwarfs/lud/lud.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "xcl/kernel.hpp"
+#include "xcl/simd.hpp"
 #include "xcl/thread_pool.hpp"
 
 namespace eod::dwarfs {
@@ -302,20 +304,92 @@ void Lud::finish() {
 
 Validation Lud::validate() {
   // Reconstruct L*U from the packed factor and compare with the original
-  // matrix (norm comparison, §4.4.2).  Rows run in parallel; each row
-  // streams U's rows in i-t-j order, so every (i, j) still sums t = 0 ..
-  // min(i, j) ascending in its own double accumulator.
+  // matrix (norm comparison, §4.4.2).  Every (i, j) sums t = 0 .. min(i, j)
+  // ascending in its own double accumulator, as the serial i-t-j loop does.
+  // The pool runs panels of kPanel rows.  A panel walks groups of kGroup
+  // columns: the group's U strip is first copied to a contiguous buffer
+  // (a power-of-two n would otherwise map every strided strip row to the
+  // same cache sets), then each kCols tile of the group is computed for
+  // the panel's blocks of kRows rows in turn, columns in double lanes and
+  // accumulators in registers.  Each tile element takes the terms
+  // t < min(i0, j0) there (i0 is its block's first row), every U row
+  // piece widened once for the block, then finishes its own terms up to
+  // t = min(i, j) one at a time.
+  namespace sv = xcl::simd;
+  constexpr std::size_t W = sv::kDoubleLanes;
+  constexpr std::size_t kRows = 4;
+  constexpr std::size_t kPanel = 16;
+  constexpr std::size_t kGroup = 16;  // one 64-byte line of floats
+  constexpr std::size_t kVecs = 2;
+  constexpr std::size_t kCols = kVecs * W;
+  static_assert(B % kPanel == 0 && kPanel % kRows == 0 && B % kGroup == 0 &&
+                    kGroup % kCols == 0,
+                "tiles must divide n");
   const std::size_t n = n_;
-  HostVector<float> recon(n * n);
-  xcl::ThreadPool::global().parallel_for(n, [&](std::size_t i) {
-    std::vector<double> acc(n, 0.0);
-    for (std::size_t t = 0; t <= i; ++t) {
-      const double l = (t == i) ? 1.0 : result_[i * n + t];
-      const float* u = &result_[t * n];
-      for (std::size_t j = t; j < n; ++j) acc[j] += l * u[j];
+  const float* f = result_.data();
+  const auto finish_sum = [&](std::size_t i, std::size_t j, std::size_t t,
+                              double acc) {
+    for (; t <= std::min(i, j); ++t) {
+      // L's unit diagonal is implicit in the packed factor.
+      const double l = t == i ? 1.0 : f[i * n + t];
+      acc += l * f[t * n + j];
     }
-    for (std::size_t j = 0; j < n; ++j) {
-      recon[i * n + j] = static_cast<float>(acc[j]);
+    return static_cast<float>(acc);
+  };
+  HostVector<float> recon(n * n);
+  xcl::ThreadPool::global().parallel_for(n / kPanel, [&](std::size_t panel) {
+    const std::size_t p0 = panel * kPanel;
+    // Blocks of this panel take their shared terms for t < t_end only.
+    const std::size_t t_end = p0 + kPanel - kRows;
+    // l(p0 + r, t), widened and splatted once.
+    std::vector<sv::vdouble> l_splat(t_end * kPanel);
+    for (std::size_t t = 0; t < t_end; ++t) {
+      for (std::size_t r = 0; r < kPanel; ++r) {
+        l_splat[t * kPanel + r] = sv::vbroadcast_f64(f[(p0 + r) * n + t]);
+      }
+    }
+    std::vector<float> strip(t_end * kGroup);
+    for (std::size_t g0 = 0; g0 < n; g0 += kGroup) {
+      const std::size_t rows = std::min(t_end, g0 + kGroup);
+      for (std::size_t t = 0; t < rows; ++t) {
+        std::copy_n(f + t * n + g0, kGroup, &strip[t * kGroup]);
+      }
+      for (std::size_t j0 = g0; j0 < g0 + kGroup; j0 += kCols) {
+        for (std::size_t i0 = p0; i0 < p0 + kPanel; i0 += kRows) {
+          // The unrolled loops keep acc in registers.
+          sv::vdouble acc[kRows][kVecs] = {};
+          const std::size_t shared = std::min(i0, j0);
+          const sv::vdouble* l_block = l_splat.data() + (i0 - p0);
+          const float* u_tile = strip.data() + (j0 - g0);
+          for (std::size_t t = 0; t < shared; ++t) {
+            sv::vdouble u[kVecs];
+#pragma GCC unroll 8
+            for (std::size_t v = 0; v < kVecs; ++v) {
+              u[v] = sv::vload_widen(u_tile + t * kGroup + v * W);
+            }
+#pragma GCC unroll 8
+            for (std::size_t r = 0; r < kRows; ++r) {
+              const sv::vdouble l = l_block[t * kPanel + r];
+#pragma GCC unroll 8
+              for (std::size_t v = 0; v < kVecs; ++v) acc[r][v] += l * u[v];
+            }
+          }
+          double sums[kRows][kCols];
+#pragma GCC unroll 8
+          for (std::size_t r = 0; r < kRows; ++r) {
+#pragma GCC unroll 8
+            for (std::size_t v = 0; v < kVecs; ++v) {
+              sv::vstore_f64(&sums[r][v * W], acc[r][v]);
+            }
+          }
+          for (std::size_t r = 0; r < kRows; ++r) {
+            for (std::size_t c = 0; c < kCols; ++c) {
+              recon[(i0 + r) * n + j0 + c] =
+                  finish_sum(i0 + r, j0 + c, shared, sums[r][c]);
+            }
+          }
+        }
+      }
     }
   });
   return validate_norm(recon, input_, 1e-4, "lud L*U reconstruction");

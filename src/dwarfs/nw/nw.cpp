@@ -195,26 +195,35 @@ void Nw::finish() {
 }
 
 Validation Nw::validate() {
+  // Row-major sweep over two row buffers; `left` carries each row's chain
+  // in a register.  Every cell sees the same diag/up/left operands as in a
+  // full-matrix sweep, and is compared as soon as it is known.
   const std::size_t m = n_ + 1;
-  HostVector<std::int32_t> want = init_matrix_;
-  for (std::size_t i = 1; i < m; ++i) {
-    for (std::size_t j = 1; j < m; ++j) {
-      const std::int32_t diag =
-          want[(i - 1) * m + j - 1] + similarity_[i * m + j];
-      const std::int32_t up = want[(i - 1) * m + j] - penalty_;
-      const std::int32_t left = want[i * m + j - 1] - penalty_;
-      want[i * m + j] = std::max({diag, up, left});
-    }
-  }
+  std::vector<std::int32_t> prev(init_matrix_.begin(),
+                                 init_matrix_.begin() + m);
+  std::vector<std::int32_t> cur(m);
   std::size_t bad = 0;
-  for (std::size_t i = 0; i < want.size(); ++i) {
-    if (result_[i] != want[i]) ++bad;
+  for (std::size_t j = 0; j < m; ++j) bad += result_[j] != prev[j];
+  for (std::size_t i = 1; i < m; ++i) {
+    const std::int32_t* sim = &similarity_[i * m];
+    const std::int32_t* got = &result_[i * m];
+    std::int32_t left = init_matrix_[i * m];
+    cur[0] = left;
+    bad += got[0] != left;
+    for (std::size_t j = 1; j < m; ++j) {
+      const std::int32_t diag = prev[j - 1] + sim[j];
+      const std::int32_t up = prev[j] - penalty_;
+      left = std::max({diag, up, left - penalty_});
+      cur[j] = left;
+      bad += got[j] != left;
+    }
+    std::swap(prev, cur);
   }
   Validation v;
   v.error = static_cast<double>(bad);
   v.ok = bad == 0;
   std::ostringstream os;
-  os << "nw: " << bad << " of " << want.size()
+  os << "nw: " << bad << " of " << m * m
      << " score cells mismatch the serial reference";
   v.detail = os.str();
   return v;

@@ -60,6 +60,10 @@ class Nw final : public Dwarf {
   [[nodiscard]] std::uint64_t result_signature() const override {
     return hash_result<std::int32_t>(result_);
   }
+  /// The (n+1)^2 score matrix finish() read back.
+  [[nodiscard]] std::span<const std::int32_t> scores() const noexcept {
+    return result_;
+  }
 
   // ---- shared kernel construction (harness/partition reuses it) ----
 

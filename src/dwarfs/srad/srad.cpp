@@ -350,40 +350,45 @@ Validation Srad::validate() {
   HostVector<float> jr = j_in_;
   HostVector<float> cr(jr.size()), dnr(jr.size()), dsr(jr.size()),
       dwr(jr.size()), der(jr.size());
+  // Both element-wise sweeps run on the pool by rows: the first reads only
+  // jr, the second writes each jr element from cr and its own derivatives.
+  xcl::ThreadPool& pool = xcl::ThreadPool::global();
   for (unsigned iter = 0; iter < iterations_; ++iter) {
-  for (std::size_t idx = 0; idx < jr.size(); ++idx) {
-    const std::size_t r = idx / cols;
-    const std::size_t col = idx % cols;
-    const std::size_t rn = r == 0 ? 0 : r - 1;
-    const std::size_t rs = r == rows - 1 ? rows - 1 : r + 1;
-    const std::size_t cw = col == 0 ? 0 : col - 1;
-    const std::size_t ce = col == cols - 1 ? cols - 1 : col + 1;
-    const float jc = jr[idx];
-    const float n = jr[rn * cols + col] - jc;
-    const float s = jr[rs * cols + col] - jc;
-    const float w = jr[r * cols + cw] - jc;
-    const float e = jr[r * cols + ce] - jc;
-    dnr[idx] = n;
-    dsr[idx] = s;
-    dwr[idx] = w;
-    der[idx] = e;
-    const float g2 = (n * n + s * s + w * w + e * e) / (jc * jc);
-    const float l = (n + s + w + e) / jc;
-    const float num = 0.5f * g2 - (1.0f / 16.0f) * l * l;
-    const float den1 = 1.0f + 0.25f * l;
-    const float qsqr = num / (den1 * den1);
-    const float den2 = (qsqr - q0sqr_) / (q0sqr_ * (1.0f + q0sqr_));
-    cr[idx] = std::clamp(1.0f / (1.0f + den2), 0.0f, 1.0f);
-  }
-  for (std::size_t idx = 0; idx < jr.size(); ++idx) {
-    const std::size_t r = idx / cols;
-    const std::size_t col = idx % cols;
-    const std::size_t rs = r == rows - 1 ? rows - 1 : r + 1;
-    const std::size_t ce = col == cols - 1 ? cols - 1 : col + 1;
-    const float d = cr[idx] * dnr[idx] + cr[rs * cols + col] * dsr[idx] +
-                    cr[idx] * dwr[idx] + cr[r * cols + ce] * der[idx];
-    jr[idx] += 0.25f * lambda_ * d;
-  }
+    pool.parallel_for(rows, [&](std::size_t r) {
+      const std::size_t rn = r == 0 ? 0 : r - 1;
+      const std::size_t rs = r == rows - 1 ? rows - 1 : r + 1;
+      for (std::size_t col = 0; col < cols; ++col) {
+        const std::size_t idx = r * cols + col;
+        const std::size_t cw = col == 0 ? 0 : col - 1;
+        const std::size_t ce = col == cols - 1 ? cols - 1 : col + 1;
+        const float jc = jr[idx];
+        const float n = jr[rn * cols + col] - jc;
+        const float s = jr[rs * cols + col] - jc;
+        const float w = jr[r * cols + cw] - jc;
+        const float e = jr[r * cols + ce] - jc;
+        dnr[idx] = n;
+        dsr[idx] = s;
+        dwr[idx] = w;
+        der[idx] = e;
+        const float g2 = (n * n + s * s + w * w + e * e) / (jc * jc);
+        const float l = (n + s + w + e) / jc;
+        const float num = 0.5f * g2 - (1.0f / 16.0f) * l * l;
+        const float den1 = 1.0f + 0.25f * l;
+        const float qsqr = num / (den1 * den1);
+        const float den2 = (qsqr - q0sqr_) / (q0sqr_ * (1.0f + q0sqr_));
+        cr[idx] = std::clamp(1.0f / (1.0f + den2), 0.0f, 1.0f);
+      }
+    });
+    pool.parallel_for(rows, [&](std::size_t r) {
+      const std::size_t rs = r == rows - 1 ? rows - 1 : r + 1;
+      for (std::size_t col = 0; col < cols; ++col) {
+        const std::size_t idx = r * cols + col;
+        const std::size_t ce = col == cols - 1 ? cols - 1 : col + 1;
+        const float d = cr[idx] * dnr[idx] + cr[rs * cols + col] * dsr[idx] +
+                        cr[idx] * dwr[idx] + cr[r * cols + ce] * der[idx];
+        jr[idx] += 0.25f * lambda_ * d;
+      }
+    });
   }
   return validate_norm(j_out_, jr, 1e-6, "srad diffusion steps");
 }

@@ -2,6 +2,7 @@
 
 #include <filesystem>
 #include <stdexcept>
+#include <string>
 
 #include "obs/analysis/json.hpp"
 #include "sim/device_spec.hpp"
@@ -45,7 +46,16 @@ ProfileReport profile_run(const ProfileInputs& inputs) {
   }
   ScheduleOptions options;
   options.transfer_peak_gbs = report.transfer_peak_gbs;
-  report.schedule = analyze_schedule(load_trace(report.trace_path), options);
+  const TraceDoc doc = load_trace(report.trace_path);
+  // Edges into dropped commands cannot be recovered, so a schedule over a
+  // truncated trace would be silently wrong.
+  if (doc.events_dropped != 0) {
+    throw std::runtime_error(
+        report.trace_path + " is truncated: its trace ring dropped " +
+        std::to_string(doc.events_dropped) +
+        " events; re-run with a larger EOD_TRACE_EVENTS");
+  }
+  report.schedule = analyze_schedule(doc, options);
   return report;
 }
 

@@ -35,7 +35,8 @@ struct ProfileReport {
 };
 
 /// Profiles one run from its artifacts.  Throws std::runtime_error when no
-/// trace can be resolved or an artifact is malformed.
+/// trace can be resolved, an artifact is malformed, or the trace's ring
+/// dropped events (the message names the count).
 [[nodiscard]] ProfileReport profile_run(const ProfileInputs& inputs);
 
 }  // namespace eod::prof

@@ -39,10 +39,15 @@ TraceDoc parse_trace(const Json& doc) {
     const auto pid = static_cast<std::uint32_t>(e.number_or("pid", 0));
     const auto tid = static_cast<std::uint32_t>(e.number_or("tid", 0));
     if (ph == "M") {
-      if (e.string_or("name", "") != "thread_name") continue;
+      const std::string kind = e.string_or("name", "");
       const Json* args = e.find("args");
       if (args == nullptr) continue;
-      out.lanes.push_back({pid, tid, args->string_or("name", "")});
+      if (kind == "thread_name") {
+        out.lanes.push_back({pid, tid, args->string_or("name", "")});
+      } else if (kind == "trace_events_dropped") {
+        out.events_dropped +=
+            static_cast<std::uint64_t>(args->number_or("dropped", 0.0));
+      }
       continue;
     }
     if (ph != "X") continue;

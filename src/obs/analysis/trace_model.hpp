@@ -65,6 +65,7 @@ struct TraceDoc {
   std::vector<TraceLane> lanes;          ///< from "M" thread_name metadata
   std::vector<TraceCommand> commands;    ///< device commands, sorted by id
   std::size_t host_events = 0;           ///< pid-1 "X" span count (context)
+  std::uint64_t events_dropped = 0;      ///< lost to wrapped lane rings
 
   /// Lane name for (pid, tid), or "pid<p>.tid<t>" when unnamed.
   [[nodiscard]] std::string lane_name(std::uint32_t pid,

@@ -342,9 +342,20 @@ bool write_chrome_trace(const std::string& path) {
         lane->name.empty() ? "thread-" + std::to_string(lane->tid)
                            : lane->name);
     // Ring order: when wrapped, the oldest surviving event sits at
-    // total % size.
+    // total % size.  A wrapped lane says how many events it lost, so a
+    // reader can refuse the truncated trace.
     const std::size_t size = lane->ring.size();
     const std::size_t kept = std::min<std::uint64_t>(lane->total, size);
+    if (lane->total > size) {
+      char buf[128];
+      std::snprintf(buf, sizeof(buf),
+                    "{\"name\":\"trace_events_dropped\",\"ph\":\"M\","
+                    "\"pid\":%u,\"tid\":%u,\"args\":{\"dropped\":%llu}}",
+                    kHostPid, lane->tid,
+                    static_cast<unsigned long long>(lane->total - size));
+      comma();
+      out += buf;
+    }
     const std::size_t start =
         lane->total > size ? lane->total % size : 0;
     for (std::size_t i = 0; i < kept; ++i) {

@@ -133,7 +133,9 @@ void set_thread_lane_name(const char* name);
 [[nodiscard]] std::uint64_t trace_events_dropped() noexcept;
 
 /// Serialises every thread's buffered events (plus process/thread metadata)
-/// as Chrome trace JSON.  Host timestamps are rebased so the earliest host
+/// as Chrome trace JSON.  A lane whose ring wrapped also gets a
+/// "trace_events_dropped" metadata event whose args.dropped is the number
+/// of events it lost.  Host timestamps are rebased so the earliest host
 /// event starts near zero; device-lane timestamps are kept as modeled ns.
 /// Returns false when the file cannot be written.
 bool write_chrome_trace(const std::string& path);

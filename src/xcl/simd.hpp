@@ -15,6 +15,13 @@
 // a vector body promise bit-identical results to the per-item reference
 // path (the determinism contract of DESIGN.md §9).
 //
+// `vdouble` holds kDoubleLanes = kLanes / 2 doubles in the same register
+// width, for double-precision serial references (DESIGN.md §7, "Reference
+// contract"): independent outputs ride in lanes, each lane keeping the
+// scalar loop's operation order.  GCC 12 at -O2 leaves such loops scalar
+// (its very-cheap vector cost model refuses any loop that needs an
+// epilogue), so the lanes are spelled out rather than left to the compiler.
+//
 // Width gate: define EOD_SIMD_WIDTH to 1/4/8/16 to pin the lane count
 // (floats per vector).  Unset, it defaults to the widest unit the target
 // ISA advertises at compile time, or to 1 (the scalar fallback struct) on
@@ -48,6 +55,8 @@ namespace eod::xcl::simd {
 
 /// Lanes per vector (floats / 32-bit ints).  1 means the scalar fallback.
 inline constexpr std::size_t kLanes = EOD_SIMD_WIDTH;
+/// Lanes per vdouble: the same register width as vfloat.
+inline constexpr std::size_t kDoubleLanes = kLanes > 1 ? kLanes / 2 : 1;
 
 #if EOD_SIMD_WIDTH > 1 && (defined(__GNUC__) || defined(__clang__))
 
@@ -57,6 +66,8 @@ using vint32 =
     std::int32_t __attribute__((vector_size(kLanes * sizeof(std::int32_t))));
 using vuint32 =
     std::uint32_t __attribute__((vector_size(kLanes * sizeof(std::uint32_t))));
+using vdouble =
+    double __attribute__((vector_size(kDoubleLanes * sizeof(double))));
 
 [[nodiscard]] inline vfloat vbroadcast(float x) noexcept {
   return x - vfloat{};  // splat: {0,...} - (-x) idiom avoided; x - 0 per lane
@@ -66,6 +77,9 @@ using vuint32 =
 }
 [[nodiscard]] inline vuint32 vbroadcast_u32(std::uint32_t x) noexcept {
   return x - vuint32{};
+}
+[[nodiscard]] inline vdouble vbroadcast_f64(double x) noexcept {
+  return x - vdouble{};
 }
 
 /// Unaligned load/store: memcpy so tails and host containers with arbitrary
@@ -83,6 +97,31 @@ inline void vstore(float* p, vfloat v) noexcept { std::memcpy(p, &v, sizeof(v));
 }
 inline void vstore_u32(std::uint32_t* p, vuint32 v) noexcept {
   std::memcpy(p, &v, sizeof(v));
+}
+[[nodiscard]] inline vdouble vload_f64(const double* p) noexcept {
+  vdouble v;
+  std::memcpy(&v, p, sizeof(v));
+  return v;
+}
+inline void vstore_f64(double* p, vdouble v) noexcept {
+  std::memcpy(p, &v, sizeof(v));
+}
+/// Loads kDoubleLanes floats and widens each to double (exact).
+[[nodiscard]] inline vdouble vload_widen(const float* p) noexcept {
+#if EOD_SIMD_WIDTH == 16 && defined(__AVX512F__)
+  return std::bit_cast<vdouble>(_mm512_cvtps_pd(_mm256_loadu_ps(p)));
+#elif EOD_SIMD_WIDTH == 8 && defined(__AVX__)
+  return std::bit_cast<vdouble>(_mm256_cvtps_pd(_mm_loadu_ps(p)));
+#elif EOD_SIMD_WIDTH == 4 && defined(__SSE2__)
+  return std::bit_cast<vdouble>(_mm_cvtps_pd(_mm_castsi128_ps(
+      _mm_loadl_epi64(reinterpret_cast<const __m128i*>(p)))));
+#else
+  using vhalf =
+      float __attribute__((vector_size(kDoubleLanes * sizeof(float))));
+  vhalf h;
+  std::memcpy(&h, p, sizeof(h));
+  return __builtin_convertvector(h, vdouble);
+#endif
 }
 
 /// Per-lane comparison: all-ones (-1) in lanes where a < b, 0 elsewhere.
@@ -120,6 +159,22 @@ inline void vstore_u32(std::uint32_t* p, vuint32 v) noexcept {
   return out;
 #endif
 }
+/// Per-lane correctly rounded square root, matching std::sqrt(double).
+[[nodiscard]] inline vdouble vsqrt(vdouble v) noexcept {
+#if EOD_SIMD_WIDTH == 16 && defined(__AVX512F__)
+  return std::bit_cast<vdouble>(_mm512_sqrt_pd(std::bit_cast<__m512d>(v)));
+#elif EOD_SIMD_WIDTH == 8 && defined(__AVX__)
+  return std::bit_cast<vdouble>(_mm256_sqrt_pd(std::bit_cast<__m256d>(v)));
+#elif EOD_SIMD_WIDTH == 4 && defined(__SSE2__)
+  return std::bit_cast<vdouble>(_mm_sqrt_pd(std::bit_cast<__m128d>(v)));
+#else
+  vdouble out;
+  for (std::size_t l = 0; l < kDoubleLanes; ++l) {
+    out[l] = __builtin_sqrt(v[l]);
+  }
+  return out;
+#endif
+}
 
 #else  // scalar fallback: same surface, one lane, so simd bodies compile
        // (and run the reference arithmetic) on any toolchain.
@@ -141,6 +196,28 @@ struct vfloat {
     return {{a.lane[0] / b.lane[0]}};
   }
   vfloat& operator+=(vfloat b) noexcept {
+    lane[0] += b.lane[0];
+    return *this;
+  }
+};
+
+struct vdouble {
+  double lane[1];
+  double& operator[](std::size_t) noexcept { return lane[0]; }
+  double operator[](std::size_t) const noexcept { return lane[0]; }
+  friend vdouble operator+(vdouble a, vdouble b) noexcept {
+    return {{a.lane[0] + b.lane[0]}};
+  }
+  friend vdouble operator-(vdouble a, vdouble b) noexcept {
+    return {{a.lane[0] - b.lane[0]}};
+  }
+  friend vdouble operator*(vdouble a, vdouble b) noexcept {
+    return {{a.lane[0] * b.lane[0]}};
+  }
+  friend vdouble operator/(vdouble a, vdouble b) noexcept {
+    return {{a.lane[0] / b.lane[0]}};
+  }
+  vdouble& operator+=(vdouble b) noexcept {
     lane[0] += b.lane[0];
     return *this;
   }
@@ -171,8 +248,18 @@ struct vuint32 {
 [[nodiscard]] inline vuint32 vbroadcast_u32(std::uint32_t x) noexcept {
   return {{x}};
 }
+[[nodiscard]] inline vdouble vbroadcast_f64(double x) noexcept {
+  return {{x}};
+}
 [[nodiscard]] inline vfloat vload(const float* p) noexcept { return {{*p}}; }
 inline void vstore(float* p, vfloat v) noexcept { *p = v.lane[0]; }
+[[nodiscard]] inline vdouble vload_f64(const double* p) noexcept {
+  return {{*p}};
+}
+inline void vstore_f64(double* p, vdouble v) noexcept { *p = v.lane[0]; }
+[[nodiscard]] inline vdouble vload_widen(const float* p) noexcept {
+  return {{static_cast<double>(*p)}};
+}
 [[nodiscard]] inline vuint32 vload_u32(const std::uint32_t* p) noexcept {
   return {{*p}};
 }
@@ -194,6 +281,9 @@ inline void vstore_u32(std::uint32_t* p, vuint32 v) noexcept {
 }
 [[nodiscard]] inline vfloat vsqrt(vfloat v) noexcept {
   return {{__builtin_sqrtf(v.lane[0])}};
+}
+[[nodiscard]] inline vdouble vsqrt(vdouble v) noexcept {
+  return {{__builtin_sqrt(v.lane[0])}};
 }
 
 #endif  // EOD_SIMD_WIDTH

@@ -109,6 +109,59 @@ TEST_P(AllDwarfs, FailsValidationWithoutRun) {
   d->unbind();
 }
 
+// nw, crc and kmeans report a count of mismatching output elements, so
+// corrupting exactly three elements after finish() must give error == 3.
+// Each runs at the smallest size with at least three outputs (crc has one
+// page below medium).
+class CountedErrors : public AllDwarfs {};
+
+std::span<const std::uint32_t> counted_output(const Dwarf& d) {
+  // The three outputs are 32-bit integers; int32_t may alias uint32_t.
+  if (const auto* nw = dynamic_cast<const Nw*>(&d)) {
+    return {reinterpret_cast<const std::uint32_t*>(nw->scores().data()),
+            nw->scores().size()};
+  }
+  if (const auto* km = dynamic_cast<const KMeans*>(&d)) {
+    return {reinterpret_cast<const std::uint32_t*>(km->membership().data()),
+            km->membership().size()};
+  }
+  return dynamic_cast<const Crc&>(d).page_crcs();
+}
+
+TEST_P(CountedErrors, ThreeCorruptedOutputsCountExactlyThree) {
+  for (const ProblemSize size : kAllSizes) {
+    auto d = create_dwarf(GetParam());
+    d->setup(size);
+    xcl::Context ctx(host_device());
+    xcl::Queue q(ctx);
+    d->bind(ctx, q);
+    d->run();
+    d->finish();
+    const std::span<const std::uint32_t> out = counted_output(*d);
+    if (out.size() < 3) {
+      d->unbind();
+      continue;
+    }
+    // The outputs live in the dwarf's own (non-const) host vectors.
+    auto* words = const_cast<std::uint32_t*>(out.data());
+    for (const std::size_t k :
+         {std::size_t{0}, out.size() / 2, out.size() - 1}) {
+      words[k] ^= 1u;
+    }
+    const Validation v = d->validate();
+    EXPECT_EQ(v.error, 3.0) << GetParam() << ' ' << to_string(size) << ": "
+                            << v.detail;
+    EXPECT_FALSE(v.ok);
+    d->unbind();
+    return;
+  }
+  FAIL() << GetParam() << " has fewer than three outputs at every size";
+}
+
+INSTANTIATE_TEST_SUITE_P(Suite, CountedErrors,
+                         ::testing::Values("nw", "crc", "kmeans"),
+                         [](const auto& ti) { return ti.param; });
+
 // Exact validate() error (as a %a hex-float) and result_signature() per
 // dwarf at tiny and small.  The serial references run on the shared pool
 // with every output element keeping its own arithmetic and summation order,

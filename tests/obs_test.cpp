@@ -11,6 +11,7 @@
 #include <fstream>
 #include <map>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -19,6 +20,7 @@
 #include "dwarfs/registry.hpp"
 #include "harness/partition.hpp"
 #include "harness/runner.hpp"
+#include "obs/analysis/profile.hpp"
 #include "obs/manifest.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -430,6 +432,35 @@ TEST(Trace, DisabledRecorderEmitsNothing) {
   // TraceSpan is fully inert when disabled; emit_instant still records (its
   // callers are expected to guard).  The span must not have recorded.
   EXPECT_LE(trace_events_recorded(), before + 1);
+}
+
+TEST(Trace, ProfilerRefusesATraceWhoseRingDropped) {
+  // One lane past its 131 072-event ring: the trace names the loss, and
+  // eod_prof's profile step refuses it instead of analysing a DAG whose
+  // dropped commands silently lost their edges.
+  constexpr std::uint64_t kRing = std::uint64_t{1} << 17;
+  constexpr std::uint64_t kExtra = 5;
+  reset_tracing();
+  set_tracing_enabled(true);
+  for (std::uint64_t i = 0; i < kRing + kExtra; ++i) {
+    emit_instant("tick", "test");
+  }
+  set_tracing_enabled(false);
+  ASSERT_EQ(trace_events_dropped(), kExtra);
+  const std::string path = temp_path("obs_dropped_trace.json");
+  ASSERT_TRUE(write_chrome_trace(path));
+  prof::ProfileInputs inputs;
+  inputs.trace_path = path;
+  try {
+    (void)prof::profile_run(inputs);
+    ADD_FAILURE() << "profiled a trace that dropped events";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("dropped 5 events"),
+              std::string::npos)
+        << e.what();
+  }
+  std::remove(path.c_str());
+  reset_tracing();
 }
 
 TEST(Trace, EnvEscapeHatchParsesConventions) {

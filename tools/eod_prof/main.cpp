@@ -22,7 +22,8 @@ constexpr const char* kUsage =
     "commands:\n"
     "  profile   analyze one run's trace: critical path, per-command\n"
     "            slack, makespan attribution, lane utilization, overlap\n"
-    "            efficiency\n"
+    "            efficiency; refuses (exit 2) a trace whose ring\n"
+    "            dropped events\n"
     "    --trace <path>      Chrome trace to analyze\n"
     "    --manifest <path>   run manifest (resolves the trace and the\n"
     "                        device's interconnect peak)\n"
