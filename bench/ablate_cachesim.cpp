@@ -12,6 +12,7 @@
 #include <iostream>
 
 #include "dwarfs/registry.hpp"
+#include "figure_common.hpp"
 #include "sim/cache_sim.hpp"
 #include "sim/device_spec.hpp"
 #include "sim/replay_cache.hpp"
@@ -63,7 +64,7 @@ std::string level_name(int level) {
 int main() {
   // Persist replayed cells so report re-runs replay nothing.
   eod::sim::ReplayCache::instance().set_disk_store(
-      "results/replay_memo.tsv");
+      eod::bench::replay_memo_path());
   const sim::DeviceSpec& sky = sim::skylake();
   std::cout << "Analytic residence rule vs trace-driven simulation "
                "(Skylake hierarchy)\n";

@@ -13,6 +13,7 @@
 #include <iostream>
 
 #include "dwarfs/registry.hpp"
+#include "figure_common.hpp"
 #include "harness/runner.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -62,7 +63,7 @@ int main(int argc, char** argv) {
   }
 
   // Replayed cells persist under results/ so re-runs replay nothing.
-  ReplayCache::instance().set_disk_store("results/replay_memo.tsv");
+  ReplayCache::instance().set_disk_store(bench::replay_memo_path());
 
   std::cout << "PAPI-style counter rates on the Skylake i7-6700K (per "
                "instruction)\n";

@@ -18,6 +18,14 @@
 
 namespace eod::bench {
 
+#ifdef EOD_REPO_ROOT
+/// The checked-in replay memo, resolved from the source tree so a report
+/// run from any directory (build/ included) reads and extends the same file.
+inline std::string replay_memo_path() {
+  return std::string(EOD_REPO_ROOT) + "/results/replay_memo.tsv";
+}
+#endif
+
 struct FigureSpec {
   std::string figure;     // e.g. "Figure 1"
   std::string benchmark;  // e.g. "crc"

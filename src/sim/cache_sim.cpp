@@ -151,9 +151,16 @@ void CacheHierarchy::consume_coalesced(const CoalescedAccess* page,
   // would be reloaded on every record.  Cache levels share one clock here;
   // each level only ever compares stamps within one of its own sets, so any
   // strictly-increasing stamp source leaves the counters bit-identical to
-  // the split cache/TLB walks (verified by tests/cache_replay_test.cpp).
+  // access()'s per-level clocks (verified by tests/cache_replay_test.cpp).
   const unsigned shift = l1_.line_shift();
   const unsigned line_to_page = page_shift_ - shift;
+  // Repeat fast-credit precondition: after one expansion of the span, every
+  // span line is still L1-resident (consecutive lines put at most
+  // ceil(span/sets) lines in a set, and older non-span lines are always the
+  // LRU victims while that stays <= associativity), and every span page is
+  // still TLB-resident while the span has at most tlb_capacity pages.
+  // Spans emitted by TraceWriter are <= 2 lines; these guards keep the path
+  // exact for arbitrary hand-built records too.
   const std::uint64_t safe_span = l1_.capacity_lines();
   const std::uint64_t tlb_capacity = tlb_.capacity();
   CacheLevel* const l3 = l3_.has_value() ? &*l3_ : nullptr;
@@ -172,9 +179,8 @@ void CacheHierarchy::consume_coalesced(const CoalescedAccess* page,
     const std::uint64_t span = last - first + 1;
     const std::uint64_t span_pages =
         (last >> line_to_page) - (first >> line_to_page) + 1;
-    // Repeat fast-credit precondition (see replay_cache_shard); expanding
-    // either half expands both -- the expansion simulates exactly the
-    // guaranteed hits the credit would have claimed.
+    // Expanding either half expands both -- the expansion simulates exactly
+    // the guaranteed hits the credit would have claimed.
     const std::uint64_t passes =
         (repeats != 0 && (span > safe_span || span_pages > tlb_capacity))
             ? std::uint64_t{repeats} + 1
@@ -183,7 +189,8 @@ void CacheHierarchy::consume_coalesced(const CoalescedAccess* page,
       for (std::uint64_t l = first; l <= last; ++l) {
         ++total;
         if (l == last_line) {
-          // Re-touch of the MRU line: guaranteed L1 and TLB hits.
+          // Re-touch of the MRU line: guaranteed L1 and TLB hits, and the
+          // skipped recency refresh cannot change any relative LRU order.
           ++l1h;
           continue;
         }
@@ -216,6 +223,9 @@ void CacheHierarchy::consume_coalesced(const CoalescedAccess* page,
       }
     }
     if (passes == 1 && repeats != 0) {
+      // Every repeat re-touches the span's lines while they are still the
+      // most recently used lines of their sets, on pages still in the TLB:
+      // guaranteed L1 and TLB hits.
       const std::uint64_t extra = std::uint64_t{repeats} * span;
       total += extra;
       l1h += extra;
@@ -232,161 +242,6 @@ void CacheHierarchy::consume_coalesced(const CoalescedAccess* page,
   l1_.advance_clock(clock);
   l2_.advance_clock(clock);
   if (l3 != nullptr) l3->advance_clock(clock);
-}
-
-ReplayShardCounters CacheHierarchy::make_shard() const noexcept {
-  ReplayShardCounters acc;
-  acc.clock = std::max(
-      {l1_.clock(), l2_.clock(), l3_ ? l3_->clock() : std::uint64_t{0}});
-  return acc;
-}
-
-void CacheHierarchy::replay_cache_shard(const CoalescedAccess* page,
-                                        std::size_t n, unsigned shard,
-                                        unsigned shard_count,
-                                        ReplayShardCounters& acc) {
-  const unsigned shift = l1_.line_shift();
-  // Repeat fast-credit precondition: after one expansion of the span, every
-  // span line is still L1-resident (consecutive lines put at most
-  // ceil(span/sets) lines in a set, and older non-span lines are always the
-  // LRU victims while that stays <= associativity).  Spans emitted by
-  // TraceWriter are <= 2 lines; this guard keeps the path exact for
-  // arbitrary hand-built records too.
-  const std::uint64_t safe_span = l1_.capacity_lines();
-  CacheLevel* const l3 = l3_.has_value() ? &*l3_ : nullptr;
-  // Work in locals: member/acc updates inside the loop would be reloaded
-  // every record (the compiler cannot prove they do not alias `page`).
-  std::uint64_t clock = acc.clock;
-  std::uint64_t last_line = acc.last_line;
-  std::uint64_t total = 0, l1h = 0, l1m = 0, l2h = 0, l2m = 0, l3h = 0,
-                l3m = 0, l3t = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const CoalescedAccess& e = page[i];
-    const std::uint64_t first = e.address >> shift;
-    const std::uint64_t last =
-        (e.address + (e.bytes == 0 ? 0 : e.bytes - 1)) >> shift;
-    const std::uint64_t span = last - first + 1;
-    const std::uint64_t passes =
-        (e.repeats != 0 && span > safe_span) ? std::uint64_t{e.repeats} + 1
-                                             : 1;
-    std::uint64_t my_lines = 0;
-    for (std::uint64_t p = 0; p < passes; ++p) {
-      my_lines = 0;
-      for (std::uint64_t l = first; l <= last; ++l) {
-        if (shard_count > 1 && (l % shard_count) != shard) continue;
-        ++my_lines;
-        ++total;
-        if (l == last_line) {
-          // Re-touch of this shard's most recent line: guaranteed L1 hit
-          // (only other sets were touched in between); the skipped stamp
-          // refresh cannot change any relative LRU order.
-          ++l1h;
-          continue;
-        }
-        last_line = l;
-        const std::uint64_t a = l << shift;
-        if (l1_.touch_line(l, ++clock)) {
-          ++l1h;
-          continue;
-        }
-        ++l1m;
-        if (l2_.touch_line(l2_.line_index(a), clock)) {
-          ++l2h;
-          continue;
-        }
-        ++l2m;
-        if (l3 != nullptr) {
-          if (l3->touch_line(l3->line_index(a), clock)) {
-            ++l3h;
-            continue;
-          }
-          ++l3m;
-        }
-        ++l3t;
-      }
-    }
-    if (passes == 1 && e.repeats != 0) {
-      // Every repeat re-touches the span's lines while they are still the
-      // most recently used lines of their sets: guaranteed L1 hits.
-      total += std::uint64_t{e.repeats} * my_lines;
-      l1h += std::uint64_t{e.repeats} * my_lines;
-    }
-  }
-  acc.clock = clock;
-  acc.last_line = last_line;
-  acc.counters.total_accesses += total;
-  acc.counters.l1_dcm += l1m;
-  acc.counters.l2_dcm += l2m;
-  acc.counters.l3_tcm += l3t;
-  acc.l1_hits += l1h;
-  acc.l1_misses += l1m;
-  acc.l2_hits += l2h;
-  acc.l2_misses += l2m;
-  acc.l3_hits += l3h;
-  acc.l3_misses += l3m;
-}
-
-void CacheHierarchy::replay_tlb_shard(const CoalescedAccess* page,
-                                      std::size_t n,
-                                      ReplayShardCounters& acc) {
-  const unsigned shift = l1_.line_shift();
-  const unsigned line_to_page = page_shift_ - shift;
-  const std::uint64_t tlb_capacity = tlb_.capacity();
-  // Locals for the same aliasing reason as replay_cache_shard.
-  std::uint64_t last_page = acc.last_page;
-  std::uint64_t tlbm = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const CoalescedAccess& e = page[i];
-    const std::uint64_t first = e.address >> shift;
-    const std::uint64_t last =
-        (e.address + (e.bytes == 0 ? 0 : e.bytes - 1)) >> shift;
-    const std::uint64_t span_pages =
-        (last >> line_to_page) - (first >> line_to_page) + 1;
-    const std::uint64_t passes =
-        (e.repeats != 0 && span_pages > tlb_capacity)
-            ? std::uint64_t{e.repeats} + 1
-            : 1;
-    for (std::uint64_t p = 0; p < passes; ++p) {
-      for (std::uint64_t l = first; l <= last; ++l) {
-        const std::uint64_t page_no = l >> line_to_page;
-        // A consecutive same-page touch is a guaranteed hit.
-        if (page_no == last_page) continue;
-        last_page = page_no;
-        if (!tlb_.touch(page_no)) ++tlbm;
-      }
-    }
-    // With passes == 1, repeats re-touch pages that are still TLB-resident
-    // (the span fits): guaranteed hits, nothing to count.
-  }
-  acc.last_page = last_page;
-  acc.counters.tlb_dm += tlbm;
-}
-
-void CacheHierarchy::fold_shard(const ReplayShardCounters& acc) {
-  counters_.total_accesses += acc.counters.total_accesses;
-  counters_.l1_dcm += acc.counters.l1_dcm;
-  counters_.l2_dcm += acc.counters.l2_dcm;
-  counters_.l3_tcm += acc.counters.l3_tcm;
-  counters_.tlb_dm += acc.counters.tlb_dm;
-  l1_.credit(acc.l1_hits, acc.l1_misses);
-  l2_.credit(acc.l2_hits, acc.l2_misses);
-  if (l3_) l3_->credit(acc.l3_hits, acc.l3_misses);
-  l1_.advance_clock(acc.clock);
-  l2_.advance_clock(acc.clock);
-  if (l3_) l3_->advance_clock(acc.clock);
-}
-
-unsigned CacheHierarchy::max_replay_shards() const noexcept {
-  // Partitioning lines by (line % shard_count) is exact only when one line
-  // index addresses every level and shard_count divides every set count:
-  // then lines of shard phi touch only sets congruent to phi at each level,
-  // so shards never share replacement state.
-  if (l2_.line_bytes() != l1_.line_bytes()) return 1;
-  if (l3_ && l3_->line_bytes() != l1_.line_bytes()) return 1;
-  std::size_t sets = l1_.sets() | l2_.sets();
-  if (l3_) sets |= l3_->sets();
-  const std::size_t lowbit = sets & (~sets + 1);
-  return static_cast<unsigned>(std::min<std::size_t>(lowbit, 64));
 }
 
 void CacheHierarchy::reset() {

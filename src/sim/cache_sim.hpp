@@ -10,10 +10,6 @@
 //   * consume_coalesced(): pages of line-coalesced records (see
 //     sim/trace_replay.hpp) -- run-length repeats of a cache line are
 //     counted as guaranteed hits without a lookup.
-//   * replay_cache_shard()/replay_tlb_shard(): the set-partitioned halves
-//     of a coalesced replay, for running one hierarchy across several
-//     workers (sets are independent under LRU, so lines can be partitioned
-//     by line % shard_count without changing any counter).
 //   * consume()/replay()/access(): batched and per-access raw replay.
 // All paths produce bit-identical HierarchyCounters (enforced by
 // tests/cache_replay_test.cpp against the per-access reference).
@@ -68,8 +64,8 @@ class CacheLevel {
 
   /// LRU state transition only -- no counter updates.  `stamp` must be
   /// strictly increasing over successive touches of any one set (the
-  /// internal clock for sequential use, or a shard-private clock for
-  /// set-partitioned parallel replay).  Returns true on hit.
+  /// internal clock, or the hierarchy-wide clock of a fused replay).
+  /// Returns true on hit.
   bool touch_line(std::uint64_t line, std::uint64_t stamp) noexcept {
     const std::size_t set =
         sets_pow2_ ? static_cast<std::size_t>(line & set_mask_)
@@ -89,8 +85,8 @@ class CacheLevel {
     return false;
   }
 
-  /// Folds externally-counted hits/misses (repeat credits, shard-local
-  /// accumulators) into this level's counters.
+  /// Folds externally-counted hits/misses (a fused replay's local
+  /// accumulators, repeat credits included) into this level's counters.
   void credit(std::uint64_t hits, std::uint64_t misses) noexcept {
     hits_ += hits;
     misses_ += misses;
@@ -112,7 +108,6 @@ class CacheLevel {
   }
   [[nodiscard]] unsigned line_bytes() const noexcept { return line_bytes_; }
   [[nodiscard]] unsigned line_shift() const noexcept { return line_shift_; }
-  [[nodiscard]] std::size_t sets() const noexcept { return sets_; }
   [[nodiscard]] std::size_t capacity_lines() const noexcept {
     return sets_ * assoc_;
   }
@@ -228,22 +223,6 @@ struct HierarchyCounters {
   }
 };
 
-/// Shard-local accumulator for set-partitioned parallel replay: every
-/// counter a replay would normally bump, collected privately (no shared
-/// writes) and folded once per pass via fold_shard().
-struct ReplayShardCounters {
-  HierarchyCounters counters;
-  std::uint64_t l1_hits = 0, l1_misses = 0;
-  std::uint64_t l2_hits = 0, l2_misses = 0;
-  std::uint64_t l3_hits = 0, l3_misses = 0;
-  std::uint64_t clock = 0;  ///< shard-private LRU stamp source
-  // One-entry MRU filters: a re-touch of the most recent line/page is a
-  // guaranteed hit whose recency refresh cannot change any relative LRU
-  // order, so the walk is skipped (exact; same argument as coalescing).
-  std::uint64_t last_line = ~0ull;
-  std::uint64_t last_page = ~0ull;
-};
-
 /// L1 -> L2 [-> L3] -> DRAM plus a data TLB, built from a DeviceSpec.
 class CacheHierarchy {
  public:
@@ -259,30 +238,6 @@ class CacheHierarchy {
   void consume(const MemAccess* page, std::size_t n);
   /// Batched line-coalesced replay (repeats credited as guaranteed hits).
   void consume_coalesced(const CoalescedAccess* page, std::size_t n);
-
-  /// Set-partitioned parallel replay, cache-level half: processes only the
-  /// lines with line % shard_count == shard (shard_count must divide
-  /// max_replay_shards()).  Touches no shared counter; accumulate into
-  /// `acc` and fold_shard() once per pass.  The TLB half is
-  /// replay_tlb_shard() (the TLB is fully associative, so it cannot be
-  /// set-partitioned and runs as its own unit).
-  void replay_cache_shard(const CoalescedAccess* page, std::size_t n,
-                          unsigned shard, unsigned shard_count,
-                          ReplayShardCounters& acc);
-  void replay_tlb_shard(const CoalescedAccess* page, std::size_t n,
-                        ReplayShardCounters& acc);
-  void fold_shard(const ReplayShardCounters& acc);
-
-  /// Fresh shard accumulator whose private clock starts above every stamp
-  /// currently stored in any cache level, so a replay pass started
-  /// mid-lifetime (e.g. a warm pass after a cold pass) keeps stamps
-  /// monotonic per set.
-  [[nodiscard]] ReplayShardCounters make_shard() const noexcept;
-
-  /// Largest power-of-two shard count for which set partitioning is exact:
-  /// divides every level's set count, provided all levels share one line
-  /// size (otherwise 1: a single line index must address every level).
-  [[nodiscard]] unsigned max_replay_shards() const noexcept;
 
   [[nodiscard]] const HierarchyCounters& counters() const noexcept {
     return counters_;

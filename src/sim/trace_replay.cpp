@@ -1,6 +1,5 @@
 #include "sim/trace_replay.hpp"
 
-#include <algorithm>
 #include <memory>
 
 #include "obs/metrics.hpp"
@@ -107,37 +106,14 @@ TraceKey hash_trace(const TraceGenerator& gen) {
 
 namespace {
 
-/// One schedulable slice of the per-page fan-out: a whole hierarchy
-/// (sequential fused replay), one set-partition shard of a hierarchy, or a
-/// hierarchy's TLB (which is fully associative and cannot be partitioned).
-struct ReplayUnit {
-  enum class Kind { kSequential, kCacheShard, kTlb };
-  CacheHierarchy* hierarchy = nullptr;
-  Kind kind = Kind::kSequential;
-  unsigned shard = 0;
-  unsigned shard_count = 1;
-  ReplayShardCounters* acc = nullptr;
-};
-
-/// Coalesced sink that runs every page through every replay unit on the
-/// pool before letting the writer reuse its buffer.
+/// Coalesced sink that runs every page through every hierarchy's fused
+/// walk on the pool before letting the writer reuse its buffer.
 class FanOutSink final : public CoalescedSink {
  public:
-  FanOutSink(std::vector<ReplayUnit>& units, xcl::ThreadPool& pool)
-      : units_(units), pool_(pool), body_([this](std::size_t u) {
-          const ReplayUnit& unit = units_[u];
-          switch (unit.kind) {
-            case ReplayUnit::Kind::kSequential:
-              unit.hierarchy->consume_coalesced(page_, n_);
-              break;
-            case ReplayUnit::Kind::kCacheShard:
-              unit.hierarchy->replay_cache_shard(
-                  page_, n_, unit.shard, unit.shard_count, *unit.acc);
-              break;
-            case ReplayUnit::Kind::kTlb:
-              unit.hierarchy->replay_tlb_shard(page_, n_, *unit.acc);
-              break;
-          }
+  FanOutSink(std::vector<std::unique_ptr<CacheHierarchy>>& hierarchies,
+             xcl::ThreadPool& pool)
+      : hierarchies_(hierarchies), pool_(pool), body_([this](std::size_t h) {
+          hierarchies_[h]->consume_coalesced(page_, n_);
         }) {}
 
   void consume(const CoalescedAccess* page, std::size_t n) override {
@@ -148,11 +124,11 @@ class FanOutSink final : public CoalescedSink {
                         static_cast<double>(n));
     page_ = page;
     n_ = n;
-    pool_.parallel_for(units_.size(), body_);
+    pool_.parallel_for(hierarchies_.size(), body_);
   }
 
  private:
-  std::vector<ReplayUnit>& units_;
+  std::vector<std::unique_ptr<CacheHierarchy>>& hierarchies_;
   xcl::ThreadPool& pool_;
   const CoalescedAccess* page_ = nullptr;
   std::size_t n_ = 0;
@@ -173,62 +149,19 @@ std::vector<ReplayMemoEntry> replay_hierarchies(
     hierarchies.push_back(std::make_unique<CacheHierarchy>(*spec));
   }
 
-  // Shard individual hierarchies only when participants (workers + helping
-  // caller) outnumber hierarchies: a shard still scans every page entry, so
-  // splitting costs total work and only buys wall-clock when the extra
-  // slices land on otherwise-idle workers.
-  const unsigned participants = pool.size() + 1;
-  unsigned want = 1;
-  while (want < 64 &&
-         hierarchies.size() * want < static_cast<std::size_t>(participants)) {
-    want *= 2;
-  }
-  std::size_t total_shard_accs = 0;
-  std::vector<unsigned> shards_of(hierarchies.size(), 1);
-  for (std::size_t h = 0; h < hierarchies.size(); ++h) {
-    shards_of[h] = std::min(want, hierarchies[h]->max_replay_shards());
-    if (shards_of[h] > 1) total_shard_accs += shards_of[h] + 1;
-  }
-
-  // Stable storage the units point into; re-initialised each pass.
-  std::vector<ReplayShardCounters> accs(total_shard_accs);
-  std::vector<ReplayUnit> units;
-  {
-    std::size_t next_acc = 0;
-    for (std::size_t h = 0; h < hierarchies.size(); ++h) {
-      CacheHierarchy* hier = hierarchies[h].get();
-      if (shards_of[h] == 1) {
-        units.push_back({hier, ReplayUnit::Kind::kSequential, 0, 1, nullptr});
-        continue;
-      }
-      for (unsigned s = 0; s < shards_of[h]; ++s) {
-        units.push_back({hier, ReplayUnit::Kind::kCacheShard, s,
-                         shards_of[h], &accs[next_acc++]});
-      }
-      units.push_back(
-          {hier, ReplayUnit::Kind::kTlb, 0, 1, &accs[next_acc++]});
-    }
-  }
-
   std::uint64_t accesses = 0;
   for (int pass = 0; pass < 2; ++pass) {
     g_replay_passes.add(1);
     obs::TraceSpan pass_span(pass == 0 ? "replay:cold" : "replay:warm",
-                             "replay", "units",
-                             static_cast<double>(units.size()));
+                             "replay", "hierarchies",
+                             static_cast<double>(hierarchies.size()));
     if (pass == 1) {
       for (auto& hier : hierarchies) hier->reset();
     }
-    for (const ReplayUnit& unit : units) {
-      if (unit.acc != nullptr) *unit.acc = unit.hierarchy->make_shard();
-    }
-    FanOutSink sink(units, pool);
+    FanOutSink sink(hierarchies, pool);
     TraceWriter writer(sink);
     gen(writer);
     writer.finish();
-    for (const ReplayUnit& unit : units) {
-      if (unit.acc != nullptr) unit.hierarchy->fold_shard(*unit.acc);
-    }
     for (std::size_t h = 0; h < hierarchies.size(); ++h) {
       (pass == 0 ? out[h].cold : out[h].warm) = hierarchies[h]->counters();
     }

@@ -15,8 +15,8 @@
 //     bit-identically on 64B and 128B line hierarchies alike.
 //   * replay_hierarchies() generates the trace once and fans each page out
 //     to every device hierarchy in parallel on the work-stealing
-//     xcl::ThreadPool, optionally set-partitioning single hierarchies into
-//     independent shards (see CacheHierarchy::max_replay_shards).
+//     xcl::ThreadPool; each hierarchy is one fused
+//     CacheHierarchy::consume_coalesced walk.
 //
 // Exactness of every path against the per-access reference replay is
 // enforced by tests/cache_replay_test.cpp.
@@ -192,10 +192,9 @@ struct ReplayMemoEntry {
 
 /// Generates the trace twice (cold + warm pass) and replays it through one
 /// fresh hierarchy per spec in a single streamed fan-out: each flushed page
-/// is processed by every hierarchy -- in parallel on `pool`, with single
-/// hierarchies set-partitioned into shards when workers outnumber
-/// hierarchies -- before the next page is generated.  Returns one entry per
-/// spec, in spec order.
+/// is processed by every hierarchy -- one fused walk each, the hierarchies
+/// in parallel on `pool` -- before the next page is generated.  Returns one
+/// entry per spec, in spec order.
 std::vector<ReplayMemoEntry> replay_hierarchies(
     const TraceGenerator& gen, const std::vector<const DeviceSpec*>& specs,
     xcl::ThreadPool& pool);

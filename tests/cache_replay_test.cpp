@@ -1,8 +1,8 @@
 // Property tests for the high-throughput trace-replay engine: every replay
-// path (batched raw, line-coalesced, set-partitioned shards, multi-
-// hierarchy fan-out) must produce HierarchyCounters bit-identical to the
-// seed per-access reference replay -- on randomized traces spanning the
-// residence regimes of all 15 testbed hierarchies.
+// path (batched raw, line-coalesced, multi-hierarchy fan-out, one
+// hierarchy alone on a multi-worker pool) must produce HierarchyCounters
+// bit-identical to the seed per-access reference replay -- on randomized
+// traces spanning the residence regimes of all 15 testbed hierarchies.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -220,56 +220,27 @@ TEST(CacheReplay, CoalescedBitIdenticalToPerAccessOnAllDevices) {
   }
 }
 
-TEST(CacheReplay, ShardedBitIdenticalToPerAccess) {
-  auto traces = property_traces(0, 6);
-  traces.emplace_back("seed=7", random_trace(7));
-  for (const auto& [name, trace] : traces) {
-    // Collect the coalesced stream once.
-    std::vector<CoalescedAccess> records;
-    struct Collect final : CoalescedSink {
-      std::vector<CoalescedAccess>* out;
-      void consume(const CoalescedAccess* page, std::size_t n) override {
-        out->insert(out->end(), page, page + n);
-      }
-    } collect;
-    collect.out = &records;
-    {
-      TraceWriter writer(collect);
-      generator_of(trace)(writer);
-      writer.finish();
-    }
-    for (const DeviceSpec* spec : all_specs()) {
-      CacheHierarchy probe(*spec);
-      const unsigned shards = probe.max_replay_shards();
-      if (shards < 2) continue;
-      const HierarchyCounters want = reference_replay(trace, *spec);
-      CacheHierarchy h(*spec);
-      std::vector<ReplayShardCounters> accs(shards + 1, h.make_shard());
-      for (unsigned s = 0; s < shards; ++s) {
-        h.replay_cache_shard(records.data(), records.size(), s, shards,
-                             accs[s]);
-      }
-      h.replay_tlb_shard(records.data(), records.size(), accs[shards]);
-      for (const ReplayShardCounters& acc : accs) h.fold_shard(acc);
-      expect_counters_eq(h.counters(), want,
-                         spec->name + " sharded " + name);
-    }
-  }
-}
-
 TEST(CacheReplay, FanOutTwoPassBitIdenticalToSeedProtocol) {
+  // Every hierarchy at once, and each alone: one spec on a multi-worker
+  // pool runs its fused walk inline on the caller.
   xcl::ThreadPool pool(3);
+  const std::vector<const DeviceSpec*> specs = all_specs();
   for (const auto& [name, trace] : property_traces(4, 6)) {
-    const std::vector<const DeviceSpec*> specs = all_specs();
     const std::vector<ReplayMemoEntry> got =
         replay_hierarchies(generator_of(trace), specs, pool);
     ASSERT_EQ(got.size(), specs.size());
     for (std::size_t i = 0; i < specs.size(); ++i) {
       const ReplayMemoEntry want = reference_two_pass(trace, *specs[i]);
-      const std::string ctx = specs[i]->name + " " + name;
-      expect_counters_eq(got[i].cold, want.cold, ctx + " cold");
-      expect_counters_eq(got[i].warm, want.warm, ctx + " warm");
-      EXPECT_EQ(got[i].accesses, trace.size()) << ctx;
+      const std::vector<ReplayMemoEntry> alone =
+          replay_hierarchies(generator_of(trace), {specs[i]}, pool);
+      ASSERT_EQ(alone.size(), 1u);
+      for (const ReplayMemoEntry* e : {&got[i], &alone[0]}) {
+        const std::string ctx = specs[i]->name + " " + name +
+                                (e == &got[i] ? " fan-out" : " alone");
+        expect_counters_eq(e->cold, want.cold, ctx + " cold");
+        expect_counters_eq(e->warm, want.warm, ctx + " warm");
+        EXPECT_EQ(e->accesses, trace.size()) << ctx;
+      }
     }
   }
 }
