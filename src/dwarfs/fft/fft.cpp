@@ -29,6 +29,7 @@ void Fft::configure(std::size_t n, FftDirection dir) {
           "fft length must be a power of two >= 2");
   n_ = n;
   dir_ = dir;
+  twiddles_.reset();
   input_ = HostVector<float>(2 * n_);
   generate_indexed(input_.size(), 0x666674ull /* "fft" */, 1,
                    [&](SplitMix64& rng, std::size_t i) {
@@ -58,6 +59,33 @@ void Fft::run() {
   // j = ((i - k) << 1) + k and j + p where k = i mod p.  The inverse
   // conjugates the twiddles (positive angle) and scales by 1/N at the end.
   const float sign = dir_ == FftDirection::kForward ? -1.0f : 1.0f;
+  const auto angle = [sign](std::size_t k, std::size_t p) {
+    return sign * static_cast<float>(M_PI) * static_cast<float>(k) /
+           static_cast<float>(p);
+  };
+
+  // The span bodies read the top stage's twiddles, P = n/2 of them, from
+  // one table tabulated with the item body's own angle expression.  Stage
+  // p's butterfly k reads entry k * (P/p): scaling by a power of two
+  // commutes with float rounding, so angle(k * (P/p), P) == angle(k, p)
+  // bit for bit, and so do its cos and sin.  Model-only queues never run a
+  // body and skip the table.
+  if (queue_->functional() && !twiddles_) {
+    const std::size_t top = n / 2;
+    auto table = std::make_shared<HostVector<float>>(2 * top);
+    constexpr std::size_t kChunk = 4096;
+    xcl::ThreadPool::global().parallel_for(
+        (top + kChunk - 1) / kChunk, [&](std::size_t c) {
+          for (std::size_t k = c * kChunk; k < std::min(top, (c + 1) * kChunk);
+               ++k) {
+            const float theta = angle(k, top);
+            (*table)[2 * k] = std::cos(theta);
+            (*table)[2 * k + 1] = std::sin(theta);
+          }
+        });
+    twiddles_ = std::move(table);
+  }
+
   bool src_is_a = true;
   for (std::size_t p = 1; p < n; p <<= 1) {
     xcl::Buffer& src = src_is_a ? *buf_a_ : *buf_b_;
@@ -70,8 +98,7 @@ void Fft::run() {
       if (i >= n / 2) return;
       const std::size_t k = i & (p - 1);
       const std::size_t j = ((i - k) << 1) + k;
-      const float theta = sign * static_cast<float>(M_PI) *
-                          static_cast<float>(k) / static_cast<float>(p);
+      const float theta = angle(k, p);
       const float wr = std::cos(theta);
       const float wi = std::sin(theta);
       const float ur = in[2 * i];
@@ -84,6 +111,28 @@ void Fft::run() {
       out[2 * j + 1] = ui + vi;
       out[2 * (j + p)] = ur - vr;
       out[2 * (j + p) + 1] = ui - vi;
+    });
+    // The same butterfly with the tabulated twiddle, in the item body's
+    // operation order.
+    stage.span([=, tw = twiddles_](std::size_t begin, std::size_t end) {
+      const float* EOD_RESTRICT u = in.data();
+      const float* EOD_RESTRICT x = u + n;
+      const float* EOD_RESTRICT w = tw->data();
+      float* EOD_RESTRICT lo = out.data();
+      float* EOD_RESTRICT hi = lo + 2 * p;
+      const std::size_t step = 2 * (n / 2 / p);
+      for (std::size_t i = begin; i < std::min(end, n / 2); ++i) {
+        const std::size_t k = i & (p - 1);
+        const std::size_t j = ((i - k) << 1) + k;
+        const float wr = w[k * step];
+        const float wi = w[k * step + 1];
+        const float vr = x[2 * i] * wr - x[2 * i + 1] * wi;
+        const float vi = x[2 * i] * wi + x[2 * i + 1] * wr;
+        lo[2 * j] = u[2 * i] + vr;
+        lo[2 * j + 1] = u[2 * i + 1] + vi;
+        hi[2 * j] = u[2 * i] - vr;
+        hi[2 * j + 1] = u[2 * i + 1] - vi;
+      }
     });
 
     xcl::WorkloadProfile prof;
@@ -109,6 +158,10 @@ void Fft::run() {
       const std::size_t i = it.global_id(0);
       if (i >= 2 * n) return;
       data[i] *= inv_n;
+    });
+    scale.span([=](std::size_t begin, std::size_t end) {
+      float* EOD_RESTRICT d = data.data();
+      for (std::size_t i = begin; i < std::min(end, 2 * n); ++i) d[i] *= inv_n;
     });
     xcl::WorkloadProfile prof;
     prof.flops = static_cast<double>(2 * n);
@@ -193,15 +246,30 @@ void Fft::reference_fft(std::span<std::complex<double>> a) {
       // powers of two).
       const std::size_t j = b & (half - 1);
       const std::size_t top = 2 * b - j;
-      const std::complex<double> v =
-          a[top + half] *
-          std::complex<double>(tw.re[first + j], tw.im[first + j]);
+      // v = x * w spelled on parts, as GCC expands the complex multiply
+      // (the library call only when both parts are NaN).  GCC 12's SLP
+      // vectorizer fuses the pair of part expressions into vfmaddsub on
+      // FMA targets even under -ffp-contract=off, whether written as one
+      // std::complex product or on parts; a product behind an association
+      // barrier is not fused.
+      const double xr = a[top + half].real();
+      const double xi = a[top + half].imag();
+      const double wr = tw.re[first + j];
+      const double wi = tw.im[first + j];
+      double vr = __builtin_assoc_barrier(xr * wr) - xi * wi;
+      double vi = __builtin_assoc_barrier(xr * wi) + xi * wr;
+      if (std::isnan(vr) && std::isnan(vi)) {
+        const std::complex<double> v =
+            a[top + half] * std::complex<double>(wr, wi);
+        vr = v.real();
+        vi = v.imag();
+      }
       // u + v and u - v part by part, as complex addition is defined, so
       // u never round-trips through memory.
       const double ur = a[top].real();
       const double ui = a[top].imag();
-      a[top] = {ur + v.real(), ui + v.imag()};
-      a[top + half] = {ur - v.real(), ui - v.imag()};
+      a[top] = {ur + vr, ui + vi};
+      a[top + half] = {ur - vr, ui - vi};
     }
   };
   // The local stages' tables back to back: stage len starts at len/2 - 1.

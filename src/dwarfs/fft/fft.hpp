@@ -9,6 +9,7 @@
 
 #include <complex>
 #include <cstddef>
+#include <memory>
 #include <optional>
 #include <span>
 
@@ -71,6 +72,9 @@ class Fft final : public Dwarf {
   FftDirection dir_ = FftDirection::kForward;
   HostVector<float> input_;   // interleaved re/im
   HostVector<float> output_;  // interleaved re/im
+  /// The top stage's n/2 twiddles (interleaved cos/sin) the span bodies
+  /// read; built by the first functional run().
+  std::shared_ptr<const HostVector<float>> twiddles_;
 
   xcl::Queue* queue_ = nullptr;
   std::optional<xcl::Buffer> buf_a_;

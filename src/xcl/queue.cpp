@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstddef>
 #include <cstdlib>
 #include <cstring>
 #include <unordered_map>
@@ -28,6 +29,26 @@ obs::Counter& g_q_bytes_read = obs::counter("queue.bytes_read");
 obs::Histogram& g_q_kernel_host_ns = obs::histogram("queue.kernel_host_ns");
 obs::Histogram& g_q_transfer_host_ns =
     obs::histogram("queue.transfer_host_ns");
+
+// Transfers of more than one chunk copy a chunk per pool task, so the
+// destination's fresh pages also fault in on every worker.  A copy inside
+// an out-of-order wave already runs on the pool, and its nested
+// parallel_for runs inline.
+constexpr std::size_t kCopyChunk = std::size_t{1} << 20;
+
+void copy_bytes(void* dst, const void* src, std::size_t bytes) {
+  if (bytes <= kCopyChunk) {
+    std::memcpy(dst, src, bytes);
+    return;
+  }
+  auto* d = static_cast<std::byte*>(dst);
+  const auto* s = static_cast<const std::byte*>(src);
+  ThreadPool::global().parallel_for(
+      (bytes + kCopyChunk - 1) / kCopyChunk, [&](std::size_t c) {
+        const std::size_t at = c * kCopyChunk;
+        std::memcpy(d + at, s + at, std::min(kCopyChunk, bytes - at));
+      });
+}
 
 // Process-wide command id allocator.  Ids are handed out in enqueue order
 // across all queues and never reused, so any *real* event in a wait list has
@@ -531,7 +552,7 @@ Event Queue::write_bytes(Buffer& dst, const void* src, std::size_t offset,
                functional = functional_]() -> std::uint64_t {
     const std::uint64_t t0 = scibench::now_ns();
     if (functional) {
-      std::memcpy(dptr + offset, src, bytes);
+      copy_bytes(dptr + offset, src, bytes);
       check::on_host_write(dptr, offset, bytes);  // transfers initialize
     }
     const std::uint64_t t1 = scibench::now_ns();
@@ -572,7 +593,7 @@ Event Queue::read_bytes(const Buffer& src, void* dst, std::size_t offset,
   auto exec = [sptr, dst, bytes, label = e.label,
                functional = functional_]() -> std::uint64_t {
     const std::uint64_t t0 = scibench::now_ns();
-    if (functional) std::memcpy(dst, sptr, bytes);
+    if (functional) copy_bytes(dst, sptr, bytes);
     const std::uint64_t t1 = scibench::now_ns();
     if (obs::timed_metrics_enabled()) g_q_transfer_host_ns.record(t1 - t0);
     if (obs::tracing_enabled()) {
@@ -606,7 +627,7 @@ Event Queue::copy_impl(const Buffer& src, Buffer& dst,
   std::function<void()> body;
   if (functional_) {
     body = [sptr = src.data(), dptr = dst.data(), bytes = src.bytes()] {
-      std::memcpy(dptr, sptr, bytes);
+      copy_bytes(dptr, sptr, bytes);
       check::on_host_write(dptr, 0, bytes);
     };
   }
@@ -668,7 +689,7 @@ Event Queue::peer_copy_impl(const Buffer& src, std::size_t src_offset,
   if (functional_) {
     body = [sptr = src.data() + src_offset, dbase = dst.data(), dst_offset,
             bytes] {
-      std::memcpy(dbase + dst_offset, sptr, bytes);
+      copy_bytes(dbase + dst_offset, sptr, bytes);
       check::on_host_write(dbase, dst_offset, bytes);
     };
   }

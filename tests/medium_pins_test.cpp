@@ -9,10 +9,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <complex>
 #include <cstdio>
 #include <iterator>
 #include <string>
+#include <vector>
 
+#include "dwarfs/fft/fft.hpp"
 #include "dwarfs/registry.hpp"
 #include "sim/testbed.hpp"
 #include "xcl/queue.hpp"
@@ -65,6 +68,33 @@ INSTANTIATE_TEST_SUITE_P(Medium, MediumReferencePins,
                          ::testing::Values("lud", "nw", "fft", "srad",
                                            "kmeans", "crc", "dwt", "cwt"),
                          [](const auto& ti) { return ti.param; });
+
+// Fft::reference_fft's output bits on fft's generated input, pinned from
+// the x86-64 baseline build.  fft's validation error alone cannot see a
+// change in them: the reference is rounded to float before it is compared.
+// An FMA build must land the same bits, so the butterflies' complex
+// multiply may not be fused there.
+TEST(FftReferencePins, OutputBitsMatchPins) {
+  constexpr struct {
+    std::size_t n;
+    std::uint64_t hash;
+  } kPins[] = {
+      {2048, 0x70ed81f56d8398d6ull},
+      {16384, 0xd990f8aaaaa58250ull},
+      {524288, 0x3a46ac6bca088adcull},
+  };
+  for (const auto& pin : kPins) {
+    SplitMix64 rng(0x666674ull);  // Fft::configure's input stream
+    std::vector<std::complex<double>> a(pin.n);
+    for (auto& v : a) {
+      const float re = rng.uniform(-1.0f, 1.0f);
+      v = {re, rng.uniform(-1.0f, 1.0f)};
+    }
+    Fft::reference_fft(a);
+    const std::uint64_t hash = hash_result<std::complex<double>>(a);
+    EXPECT_EQ(hash, pin.hash) << "n=" << pin.n << " 0x" << std::hex << hash;
+  }
+}
 
 }  // namespace
 }  // namespace eod::dwarfs

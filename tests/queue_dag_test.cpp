@@ -1,7 +1,8 @@
 // Event-dependency DAG suite (DESIGN.md §12): wait-list validation, diamond
 // dependencies, cross-queue waits, in-order/out-of-order result equivalence
 // for the dependency-converted dwarfs, completion-order event reporting, and
-// a race-sensitive stress of N independent commands (run under tsan via the
+// a race-sensitive stress of N independent commands, and multi-MiB
+// transfers, which copy on the pool (run under tsan and asan via the
 // `sanitize` ctest label).
 #include <gtest/gtest.h>
 
@@ -16,6 +17,7 @@
 #include "sim/replay_cache.hpp"
 #include "sim/testbed.hpp"
 #include "xcl/buffer.hpp"
+#include "xcl/check/session.hpp"
 #include "xcl/executor.hpp"
 #include "xcl/queue.hpp"
 
@@ -179,6 +181,83 @@ TEST(QueueDag, IndependentCommandStressExecutesEveryCommandOnce) {
   for (std::size_t i = 0; i < out.size(); ++i) {
     ASSERT_EQ(out[i], 1) << "slot " << i;
   }
+}
+
+// ---- pooled transfers ------------------------------------------------------
+
+// Transfers of more than a MiB copy a MiB per pool task.  This one spans
+// two chunks plus an odd tail and starts at an odd offset.
+constexpr std::size_t kTransferOffset = 5;
+constexpr std::size_t kTransferBytes = (std::size_t{2} << 20) + 3;
+
+std::vector<std::uint8_t> transfer_pattern() {
+  std::vector<std::uint8_t> host(kTransferBytes);
+  for (std::size_t i = 0; i < host.size(); ++i) {
+    host[i] = static_cast<std::uint8_t>(i * 131 + (i >> 20));
+  }
+  return host;
+}
+
+TEST(QueueTransfers, PooledCopiesRoundTripByteExactly) {
+  const std::vector<std::uint8_t> host = transfer_pattern();
+  for (const QueueMode mode : {QueueMode::kInOrder, QueueMode::kOutOfOrder}) {
+    SCOPED_TRACE(to_string(mode));
+    Context ctx(cpu());
+    Queue q(ctx, mode);
+    Buffer a(ctx, kTransferOffset + kTransferBytes);
+    Buffer b(ctx, kTransferOffset + kTransferBytes);
+    Buffer c(ctx, 2 * kTransferOffset + kTransferBytes);
+    // write -> copy (whole buffer) -> peer copy -> read, chained by events
+    // so the out-of-order queue defers each behind its producer.
+    const Event w = q.enqueue_write<std::uint8_t>(a, host, kTransferOffset,
+                                                  kNoWait);
+    const Event cp = q.enqueue_copy(a, b, std::span(&w, 1));
+    const Event pc =
+        q.enqueue_peer_copy(b, kTransferOffset, c, 2 * kTransferOffset,
+                            kTransferBytes, std::span(&cp, 1));
+    std::vector<std::uint8_t> back(kTransferBytes);
+    q.enqueue_read<std::uint8_t>(c, back, 2 * kTransferOffset,
+                                 std::span(&pc, 1));
+    q.finish();
+    EXPECT_TRUE(back == host);
+  }
+}
+
+TEST(QueueTransfers, PooledWriteMarksItsRangeInitialized) {
+  const std::vector<std::uint8_t> host = transfer_pattern();
+  check::CheckSession session;
+  Context ctx(cpu());
+  Queue q(ctx);
+  Buffer buf(ctx, kTransferOffset + kTransferBytes + 1);
+  Buffer out(ctx, 4);
+  q.enqueue_write<std::uint8_t>(buf, host, kTransferOffset, kNoWait);
+
+  // Ends of the written range and both sides of its first chunk boundary
+  // read clean; the unwritten bytes just outside it do not.
+  const std::size_t last = kTransferOffset + kTransferBytes - 1;
+  const std::size_t inside[] = {kTransferOffset,
+                                kTransferOffset + (std::size_t{1} << 20) - 1,
+                                kTransferOffset + (std::size_t{1} << 20),
+                                last};
+  const std::size_t outside[] = {kTransferOffset - 1, last + 1};
+  auto in = buf.access<const std::uint8_t>("written");
+  auto o = out.access<std::uint8_t>("out");
+  Kernel probe_inside("probe_inside", [=](WorkItem& it) {
+    const std::size_t i = it.global_id(0);
+    o[i] = in[inside[i]];
+  });
+  q.enqueue(probe_inside, NDRange(4, 4), small_profile());
+  EXPECT_TRUE(session.report().clean()) << session.report().to_text();
+
+  Kernel probe_outside("probe_outside", [=](WorkItem& it) {
+    const std::size_t i = it.global_id(0);
+    o[i] = in[outside[i]];
+  });
+  q.enqueue(probe_outside, NDRange(2, 2), small_profile());
+  const check::CheckReport report = session.take_report();
+  ASSERT_EQ(report.findings().size(), 1u) << report.to_text();
+  EXPECT_EQ(report.findings()[0].kind, check::FindingKind::kUninitRead);
+  EXPECT_EQ(report.findings()[0].occurrences, 2u);
 }
 
 // ---- converted dwarfs: out-of-order == in-order, bit for bit -------------

@@ -30,6 +30,7 @@
 
 #include "dwarfs/common.hpp"
 #include "dwarfs/crc/crc.hpp"
+#include "dwarfs/fft/fft.hpp"
 #include "dwarfs/gem/gem.hpp"
 #include "dwarfs/kmeans/kmeans.hpp"
 #include "dwarfs/registry.hpp"
@@ -262,6 +263,53 @@ INSTANTIATE_TEST_SUITE_P(VectorizedDwarfs, SimdTier,
                          [](const auto& ti) {
                            return std::string(ti.param.name);
                          });
+
+// fft's result_signature() stays 0 (its pins say so), so its output is
+// hashed directly.  Every power-of-two length runs in both directions: the
+// stages read the twiddle table at every stride from 1 to n/2, lengths
+// below 128 run one short group per stage, and the inverse adds the
+// fft_scale kernel.  One Fft is reconfigured throughout, so a table kept
+// across configure() would be read at the wrong length or sign.  Under
+// auto no group may fall back to the loop tier.
+TEST(SpanTierFft, EveryLengthAndDirectionMatchesItemBitExactly) {
+  struct ModeGuard {
+    eod::xcl::DispatchMode prev = eod::xcl::dispatch_mode();
+    ~ModeGuard() { eod::xcl::set_dispatch_mode(prev); }
+  } guard;
+  using eod::dwarfs::FftDirection;
+  eod::xcl::Context ctx(eod::sim::testbed_device("i7-6700K"));
+  eod::xcl::Queue q(ctx);
+  eod::dwarfs::Fft fft;
+  for (std::size_t n = 2; n <= (std::size_t{1} << 21); n <<= 1) {
+    for (const FftDirection dir :
+         {FftDirection::kForward, FftDirection::kInverse}) {
+      SCOPED_TRACE("n=" + std::to_string(n) +
+                   (dir == FftDirection::kForward ? " forward" : " inverse"));
+      std::uint64_t hash[2] = {};
+      std::uint64_t span_groups[2] = {};
+      std::uint64_t other_groups[2] = {};
+      for (const int fast : {0, 1}) {
+        eod::xcl::set_dispatch_mode(fast != 0 ? eod::xcl::DispatchMode::kAuto
+                                              : eod::xcl::DispatchMode::kItem);
+        fft.configure(n, dir);
+        fft.bind(ctx, q);
+        const eod::xcl::ExecutorStats before = eod::xcl::executor_stats();
+        fft.run();
+        fft.finish();
+        const eod::xcl::ExecutorStats after = eod::xcl::executor_stats();
+        hash[fast] = eod::dwarfs::hash_result<float>(fft.output());
+        span_groups[fast] = after.groups_span - before.groups_span;
+        other_groups[fast] = (after.groups_loop - before.groups_loop) +
+                             (after.groups_fiber - before.groups_fiber);
+        fft.unbind();
+      }
+      EXPECT_EQ(hash[1], hash[0]);
+      EXPECT_EQ(span_groups[0], 0u);
+      EXPECT_GT(span_groups[1], 0u);
+      EXPECT_EQ(other_groups[1], 0u);
+    }
+  }
+}
 
 // kAuto runs every group of a fully converted dwarf as one span call:
 // nothing falls back to the loop or fiber tiers.
