@@ -9,6 +9,7 @@
 #pragma once
 
 #include <algorithm>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <stdexcept>
@@ -76,6 +77,15 @@ inline void require_supported_size(const dwarfs::Dwarf& dwarf,
   throw std::invalid_argument(msg);
 }
 
+/// Where the run manifest goes: beside the trace when there is one, else
+/// beside the metrics file, else in the current directory.
+inline std::string manifest_path_beside(const std::string& trace_path,
+                                        const std::string& metrics_path) {
+  const std::string& anchor = !trace_path.empty() ? trace_path : metrics_path;
+  return (std::filesystem::path(anchor).parent_path() / "manifest.json")
+      .string();
+}
+
 /// Runs an already-configured dwarf under the harness and prints the
 /// standard report.  Returns the process exit code.
 inline int run_configured(dwarfs::Dwarf& dwarf,
@@ -91,14 +101,15 @@ inline int run_configured(dwarfs::Dwarf& dwarf,
   opts.queue_mode = cli.queue_mode;
   // Observability sinks (DESIGN.md §11): --trace / --metrics flags, with
   // EOD_TRACE=1 (or =path) as the no-recompile escape hatch.  Either sink
-  // also produces the run manifest next to the process.
+  // also produces the run manifest, beside the artifacts it points at.
   opts.trace_path =
       !cli.trace_path.empty() ? cli.trace_path : obs::env_trace_path();
   opts.metrics_path = cli.metrics_path;
   opts.profile = cli.profile;
   if (!opts.trace_path.empty() || !opts.metrics_path.empty() ||
       opts.profile) {
-    opts.manifest_path = "manifest.json";
+    opts.manifest_path =
+        manifest_path_beside(opts.trace_path, opts.metrics_path);
   }
 
   const harness::Measurement m = harness::measure(
@@ -254,8 +265,8 @@ inline int report_partitioned(const dwarfs::Dwarf& dwarf,
     }
     man.metrics_path = metrics_path;
     man.profile_path = profile_path;
-    const std::string manifest_path =
-        obs::unique_artifact_path("manifest.json");
+    const std::string manifest_path = obs::unique_artifact_path(
+        manifest_path_beside(requested_trace, cli.metrics_path));
     if (man.write_json(manifest_path, obs::snapshot_metrics())) {
       std::cout << "manifest: " << manifest_path << '\n';
     }

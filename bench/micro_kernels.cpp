@@ -24,9 +24,15 @@
 // bit-identical to the item reference via result_signature(); a speedup
 // over a wrong answer is not a speedup.  Acceptance: fast/item >= 1.5x on
 // at least two of the five dwarfs.
+//
+// Part 3: output signatures.  dwarfs::hash_result against the serial
+// byte-at-a-time FNV-1a it must equal, on 64 MiB of random bytes, in ns
+// per MiB.  The two values must be identical; with >= 4 pool workers
+// hash_result must be >= 1.5x faster.
 #include <algorithm>
 #include <cstdio>
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -40,6 +46,7 @@
 #include "xcl/kernel.hpp"
 #include "xcl/queue.hpp"
 #include "xcl/simd.hpp"
+#include "xcl/thread_pool.hpp"
 
 namespace {
 
@@ -59,6 +66,9 @@ constexpr int kDwarfWarmup = 1;
 constexpr int kDwarfReps = 5;
 constexpr double kDwarfGateRatio = 1.5;
 constexpr int kDwarfGateCount = 2;
+constexpr std::size_t kSignatureBytes = std::size_t{64} << 20;
+constexpr double kSignatureGateRatio = 1.5;
+constexpr unsigned kSignatureGateWorkers = 4;
 
 struct ScopedDispatchMode {
   explicit ScopedDispatchMode(xcl::DispatchMode m) {
@@ -250,6 +260,28 @@ double time_dwarf(const char* name, dwarfs::ProblemSize size,
   return static_cast<double>(best) * 1e-9;
 }
 
+// The definition hash_result must reproduce, one byte at a time.
+std::uint64_t fnv1a_byte_loop(std::span<const std::uint8_t> bytes) {
+  std::uint64_t h = dwarfs::kFnvOffsetBasis;
+  for (const std::uint8_t b : bytes) h = (h ^ b) * 0x100000001b3ull;
+  return h;
+}
+
+// Best-of-reps ns per MiB of `hash` over `bytes`; *value gets its result.
+template <typename HashFn>
+double ns_per_mib(std::span<const std::uint8_t> bytes, HashFn&& hash,
+                  std::uint64_t* value) {
+  std::uint64_t best = ~std::uint64_t{0};
+  for (int i = 0; i < kWarmup + kReps; ++i) {
+    const std::uint64_t t0 = scibench::now_ns();
+    *value = hash(bytes);
+    const std::uint64_t t1 = scibench::now_ns();
+    if (i >= kWarmup) best = std::min(best, t1 - t0);
+  }
+  return static_cast<double>(best) /
+         (static_cast<double>(bytes.size()) / (1 << 20));
+}
+
 }  // namespace
 
 int main() {
@@ -352,11 +384,35 @@ int main() {
   json.value("mem_loop_mitems_per_s", mem_rates.loop);
   json.value("fma_span_over_loop", fma_rates.span / fma_rates.loop);
   json.value("dwarfs_cleared", static_cast<double>(cleared));
+
+  std::vector<std::uint8_t> sig_bytes(kSignatureBytes);
+  dwarfs::generate_indexed(sig_bytes.size(), 1, 1,
+                           [&](dwarfs::SplitMix64& rng, std::size_t i) {
+                             sig_bytes[i] =
+                                 static_cast<std::uint8_t>(rng.next());
+                           });
+  std::uint64_t loop_value = 0;
+  std::uint64_t hash_value = 0;
+  const double loop_ns = ns_per_mib(sig_bytes, fnv1a_byte_loop, &loop_value);
+  const double hash_ns = ns_per_mib(
+      sig_bytes,
+      [](std::span<const std::uint8_t> b) { return dwarfs::hash_result(b); },
+      &hash_value);
+  const unsigned workers = xcl::ThreadPool::global().size();
+  const double sig_ratio = loop_ns / hash_ns;
+  std::printf("\nsignature over %zu MiB: byte loop %.0f ns/MiB, hash_result "
+              "%.0f ns/MiB (%.2fx, %u pool workers)\n",
+              kSignatureBytes >> 20, loop_ns, hash_ns, sig_ratio, workers);
+  json.value("signature_byte_loop_ns_per_mib", loop_ns);
+  json.value("signature_hash_result_ns_per_mib", hash_ns);
   json.speedup(target);
   if (!json.write()) std::printf("warning: BENCH_kernels.json not written\n");
 
   const bool span_ok = target >= 5.0;
   const bool dwarfs_ok = cleared >= kDwarfGateCount;
+  const bool sig_equal = loop_value == hash_value;
+  const bool sig_ok = sig_equal && (workers < kSignatureGateWorkers ||
+                                    sig_ratio >= kSignatureGateRatio);
   std::printf("\n%d/%zu dwarfs at fast/item >= %.1fx (need %d)\n", cleared,
               std::size(kDwarfs), kDwarfGateRatio, kDwarfGateCount);
   std::printf("%s\n%s\n",
@@ -365,5 +421,18 @@ int main() {
               dwarfs_ok ? "PASS: fast bodies beat the item tier where it "
                           "matters"
                         : "FAIL: fast/item gate not met");
-  return span_ok && dwarfs_ok ? 0 : 1;
+  if (!sig_equal) {
+    std::printf("FAIL: hash_result %016llx != byte loop %016llx\n",
+                static_cast<unsigned long long>(hash_value),
+                static_cast<unsigned long long>(loop_value));
+  } else if (!sig_ok) {
+    std::printf("FAIL: hash_result/byte loop %.2fx < %.1fx with %u workers\n",
+                sig_ratio, kSignatureGateRatio, workers);
+  } else {
+    std::printf("PASS: hash_result equals the byte loop%s\n",
+                workers >= kSignatureGateWorkers
+                    ? " and clears the speedup gate"
+                    : " (speedup gate needs >= 4 pool workers)");
+  }
+  return span_ok && dwarfs_ok && sig_ok ? 0 : 1;
 }

@@ -11,6 +11,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -115,19 +116,31 @@ void generate_indexed(std::size_t n, std::uint64_t seed,
   });
 }
 
+/// FNV-1a offset basis: the seed of a fresh signature.
+inline constexpr std::uint64_t kFnvOffsetBasis = 0xcbf29ce484222325ull;
+/// Bytes per hash_bytes chunk.
+inline constexpr std::size_t kHashChunk = std::size_t{1} << 15;
+/// Inputs shorter than this hash in one serial pass (no whole chunks).
+inline constexpr std::size_t kHashParallelMin = std::size_t{1} << 20;
+
+/// FNV-1a over raw bytes: exactly the serial loop
+///   h = seed; for (b : bytes) h = (h ^ b) * 0x100000001b3;
+/// but inputs of kHashParallelMin bytes or more run their whole
+/// kHashChunk-byte chunks on `pool` (DESIGN.md §7, "Output signatures").
+/// The value depends only on the bytes and the seed, never on the pool's
+/// width or the chunk size.
+[[nodiscard]] std::uint64_t hash_bytes(
+    std::span<const std::byte> bytes, std::uint64_t seed = kFnvOffsetBasis,
+    xcl::ThreadPool& pool = xcl::ThreadPool::global());
+
 /// FNV-1a over a typed output vector, for Dwarf::result_signature
 /// implementations.  Byte-exact: two runs hash equal iff every output
 /// element is bit-identical (NaN payloads and signed zeros included).
 template <typename T>
 [[nodiscard]] std::uint64_t hash_result(std::span<const T> data,
-                                        std::uint64_t seed = 0xcbf29ce484222325ull) {
+                                        std::uint64_t seed = kFnvOffsetBasis) {
   static_assert(std::is_trivially_copyable_v<T>);
-  const auto* bytes = reinterpret_cast<const unsigned char*>(data.data());
-  std::uint64_t h = seed;
-  for (std::size_t i = 0; i < data.size_bytes(); ++i) {
-    h = (h ^ bytes[i]) * 0x100000001b3ull;
-  }
-  return h;
+  return hash_bytes(std::as_bytes(data), seed);
 }
 
 /// A benchmark in the suite.  Lifecycle:

@@ -15,6 +15,7 @@
 #include "../apps/app_common.hpp"
 #include "dwarfs/hmm/hmm.hpp"
 #include "dwarfs/kmeans/kmeans.hpp"
+#include "obs/analysis/json.hpp"
 
 namespace eod::apps {
 namespace {
@@ -117,7 +118,9 @@ struct AppExit {
   std::string err;  // the app's standard error
 };
 
-AppExit run_app(const std::string& app, const std::vector<std::string>& args) {
+// Runs a built app in `cwd` (the test's own directory when empty).
+AppExit run_app(const std::string& app, const std::vector<std::string>& args,
+                const std::filesystem::path& cwd = {}) {
   const std::string path = std::string(EOD_APP_DIR) + "/" + app;
   const std::string err_path =
       (std::filesystem::temp_directory_path() /
@@ -133,6 +136,9 @@ AppExit run_app(const std::string& app, const std::vector<std::string>& args) {
   posix_spawn_file_actions_addopen(&actions, 1, "/dev/null", O_WRONLY, 0);
   posix_spawn_file_actions_addopen(&actions, 2, err_path.c_str(),
                                    O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  if (!cwd.empty()) {
+    posix_spawn_file_actions_addchdir_np(&actions, cwd.c_str());
+  }
   AppExit out;
   pid_t pid = 0;
   const int rc = posix_spawn(&pid, path.c_str(), &actions, nullptr,
@@ -190,6 +196,36 @@ TEST(AppArgs, DwtLevelsPastUnsignedRangeDoNotWrap) {
   // 2^32 + 1 used to wrap to 1 level in the cast to unsigned.
   expect_usage_exit(run_app("dwt_app", {"--", "-l", "4294967297"}),
                     "got -l 4294967297");
+}
+
+TEST(AppArgs, ManifestLandsBesideTheTrace) {
+  // The manifest used to land in the working directory whatever directory
+  // --trace named, away from the artifacts it points at.
+  namespace fs = std::filesystem;
+  const fs::path root = fs::temp_directory_path() /
+                        ("eod_apps_test_manifest_" + std::to_string(::getpid()));
+  const fs::path cwd = root / "cwd";
+  const fs::path out = root / "out";
+  fs::create_directories(cwd);
+  fs::create_directories(out);
+  const AppExit r = run_app(
+      "kmeans_app", {"--size", "tiny", "--trace=" + (out / "t.json").string()},
+      cwd);
+  ASSERT_TRUE(WIFEXITED(r.status)) << r.err;
+  EXPECT_EQ(WEXITSTATUS(r.status), 0) << r.err;
+  EXPECT_TRUE(fs::is_empty(cwd)) << "artifacts written to the working dir";
+  std::vector<fs::path> manifests;
+  for (const fs::directory_entry& e : fs::directory_iterator(out)) {
+    if (e.path().filename().string().starts_with("manifest")) {
+      manifests.push_back(e.path());
+    }
+  }
+  ASSERT_EQ(manifests.size(), 1u);
+  const prof::Json manifest = prof::load_json(manifests[0].string());
+  const fs::path trace = manifest.string_or("trace_path", "");
+  EXPECT_EQ(trace.parent_path(), out);
+  EXPECT_TRUE(fs::is_regular_file(trace)) << trace;
+  fs::remove_all(root);
 }
 
 }  // namespace
