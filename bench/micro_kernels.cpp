@@ -16,14 +16,15 @@
 // real work dominates and the tiers converge -- the control that shows the
 // span win is overhead elimination, not different arithmetic.
 //
-// Part 2: five dwarfs' real application iterations -- setup/bind once,
+// Part 2: seven dwarfs' real application iterations -- setup/bind once,
 // then timed run()+finish() reps -- under --dispatch=item and
 // --dispatch=auto (each kernel's one fast body: explicit vectors for
-// kmeans, gem and srad, slice-by-8 for crc, an autovectorized loop for
-// csr).  Before any timing, every dwarf's auto output is checked
-// bit-identical to the item reference via result_signature(); a speedup
-// over a wrong answer is not a speedup.  Acceptance: fast/item >= 1.5x on
-// at least two of the five dwarfs.
+// kmeans, gem, srad, dwt's vertical pass and lud's perimeter row and
+// interior blocks, slice-by-8 for crc, an autovectorized loop for csr).
+// Before any timing, every dwarf's auto output is checked bit-identical
+// to the item reference via result_signature(); a speedup over a wrong
+// answer is not a speedup.  Acceptance: fast/item >= 1.5x on at least two
+// of the seven dwarfs.
 //
 // Part 3: output signatures.  dwarfs::hash_result against the serial
 // byte-at-a-time FNV-1a it must equal, on 64 MiB of random bytes, in ns
@@ -201,14 +202,18 @@ struct DwarfCase {
 
 // gem is O(vertices x atoms); small already gives the inner loop thousands
 // of iterations per vertex, and medium would push one item-tier rep into
-// minutes.  Everything else times at medium (the 8 MiB L3 class), where a
-// run is long enough to dwarf launch overhead but reps stay interactive.
+// minutes.  lud's item tier runs each interior block as 256 fibers, about
+// 40 s per medium rep on 4 cores, so it times at small too.  Everything
+// else times at medium (the 8 MiB L3 class), where a run is long enough to
+// dwarf launch overhead but reps stay interactive.
 const DwarfCase kDwarfs[] = {
     {"kmeans", dwarfs::ProblemSize::kMedium, dwarfs::ProblemSize::kSmall},
     {"csr", dwarfs::ProblemSize::kMedium, dwarfs::ProblemSize::kSmall},
     {"gem", dwarfs::ProblemSize::kSmall, dwarfs::ProblemSize::kTiny},
     {"srad", dwarfs::ProblemSize::kMedium, dwarfs::ProblemSize::kSmall},
     {"crc", dwarfs::ProblemSize::kMedium, dwarfs::ProblemSize::kSmall},
+    {"dwt", dwarfs::ProblemSize::kMedium, dwarfs::ProblemSize::kSmall},
+    {"lud", dwarfs::ProblemSize::kSmall, dwarfs::ProblemSize::kTiny},
 };
 
 // Sets a dwarf up and binds it on the i7-6700K under `mode`, calls

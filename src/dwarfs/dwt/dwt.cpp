@@ -162,26 +162,50 @@ void Dwt::enqueue_level(std::size_t lw, std::size_t lh) {
     }
   });
 
+  // Span tier: rows outermost, the group's columns innermost in lanes, so
+  // each step streams along a row instead of striding down a column.  The
+  // columns are independent and the update rows read only predict outputs
+  // of their own column, so every coefficient sees the item body's
+  // operands in its order, element-wise, bit-identically.
   vert.span([=](std::size_t begin, std::size_t end) {
+    namespace sv = xcl::simd;
+    constexpr std::size_t W = sv::kLanes;
     float* EOD_RESTRICT dp = data.data();
     const float* EOD_RESTRICT tp = temp.data();
     const std::size_t n = lh;
     const std::size_t ns = (n + 1) / 2;
     const std::size_t nd = n / 2;
-    for (std::size_t c = begin, last = std::min(end, lw); c < last; ++c) {
-      for (std::size_t i = 0; i < nd; ++i) {
-        const std::size_t rr = (2 * i + 2 <= n - 1) ? 2 * i + 2 : n - 2;
-        dp[(ns + i) * stride + c] =
-            tp[(2 * i + 1) * stride + c] -
-            0.5f * (tp[2 * i * stride + c] + tp[rr * stride + c]);
+    const std::size_t last = std::min(end, lw);
+    const sv::vfloat half = sv::vbroadcast(0.5f);
+    const sv::vfloat quarter = sv::vbroadcast(0.25f);
+    for (std::size_t i = 0; i < nd; ++i) {
+      const std::size_t rr = (2 * i + 2 <= n - 1) ? 2 * i + 2 : n - 2;
+      float* out = dp + (ns + i) * stride;
+      const float* odd = tp + (2 * i + 1) * stride;
+      const float* even = tp + 2 * i * stride;
+      const float* next = tp + rr * stride;
+      std::size_t c = begin;
+      for (; c + W <= last; c += W) {
+        sv::vstore(out + c,
+                   sv::vload(odd + c) -
+                       half * (sv::vload(even + c) + sv::vload(next + c)));
       }
-      for (std::size_t i = 0; i < ns; ++i) {
-        const std::size_t dl = i == 0 ? 0 : i - 1;
-        const std::size_t dr = i < nd ? i : nd - 1;
-        dp[i * stride + c] =
-            tp[2 * i * stride + c] + 0.25f * (dp[(ns + dl) * stride + c] +
-                                              dp[(ns + dr) * stride + c]);
+      for (; c < last; ++c) out[c] = odd[c] - 0.5f * (even[c] + next[c]);
+    }
+    for (std::size_t i = 0; i < ns; ++i) {
+      const std::size_t dl = i == 0 ? 0 : i - 1;
+      const std::size_t dr = i < nd ? i : nd - 1;
+      float* out = dp + i * stride;
+      const float* even = tp + 2 * i * stride;
+      const float* left = dp + (ns + dl) * stride;
+      const float* right = dp + (ns + dr) * stride;
+      std::size_t c = begin;
+      for (; c + W <= last; c += W) {
+        sv::vstore(out + c,
+                   sv::vload(even + c) +
+                       quarter * (sv::vload(left + c) + sv::vload(right + c)));
       }
+      for (; c < last; ++c) out[c] = even[c] + 0.25f * (left[c] + right[c]);
     }
   });
 

@@ -114,19 +114,32 @@ xcl::Kernel Lud::make_perimeter_row_kernel(xcl::Buffer& matrix, std::size_t n,
   });
 
   // Span tier: same triangular solve with the row loop outermost and the
-  // B independent columns innermost (vectorizable); each element's
-  // accumulation order is unchanged, so the panel is bit-identical.
+  // B independent columns in lanes; each element still subtracts its t
+  // terms in ascending order, so the panel is bit-identical.
   row.span([=](std::size_t begin, std::size_t /*end*/) {
+    namespace sv = xcl::simd;
+    constexpr std::size_t V = B / sv::kLanes;
     const std::size_t m = k + 1 + begin / B;
     const std::size_t blk = k * B * n + m * B;
     float* EOD_RESTRICT p = a.data();
     for (std::size_t i = 1; i < B; ++i) {
-      for (std::size_t c = 0; c < B; ++c) {
-        float acc = p[blk + i * n + c];
-        for (std::size_t t = 0; t < i; ++t) {
-          acc -= p[diag_base + i * n + t] * p[blk + t * n + c];
+      float* out = p + blk + i * n;
+      sv::vfloat acc[V];
+#pragma GCC unroll 16
+      for (std::size_t v = 0; v < V; ++v) {
+        acc[v] = sv::vload(out + v * sv::kLanes);
+      }
+      for (std::size_t t = 0; t < i; ++t) {
+        const sv::vfloat l = sv::vbroadcast(p[diag_base + i * n + t]);
+        const float* u = p + blk + t * n;
+#pragma GCC unroll 16
+        for (std::size_t v = 0; v < V; ++v) {
+          acc[v] = acc[v] - l * sv::vload(u + v * sv::kLanes);
         }
-        p[blk + i * n + c] = acc;
+      }
+#pragma GCC unroll 16
+      for (std::size_t v = 0; v < V; ++v) {
+        sv::vstore(out + v * sv::kLanes, acc[v]);
       }
     }
   });
@@ -203,22 +216,48 @@ xcl::Kernel Lud::make_internal_kernel(xcl::Buffer& matrix, std::size_t n,
 
   // Span tier: one call per block.  The __local tiles were pure copies, so
   // reading the panels in place accumulates the same products in the same
-  // t order per element -- bit-identical -- while the c-indexed
-  // accumulator row vectorizes.
+  // t order per element -- bit-identical.  kRows rows of B columns step
+  // together with their accumulators in lane registers, so each U row
+  // piece is loaded once per kRows rows and no partial sum touches memory.
   internal.span([=](std::size_t begin, std::size_t /*end*/) {
+    namespace sv = xcl::simd;
+    constexpr std::size_t V = B / sv::kLanes;
+    // Enough rows to reuse each U load, few enough that kRows * V
+    // accumulators plus V U pieces fit the register file.
+    constexpr std::size_t kRows = std::max<std::size_t>(2, 8 / V);
+    static_assert(B % sv::kLanes == 0 && B % kRows == 0,
+                  "lanes and row steps must divide the block");
     const std::size_t g = begin / (B * B);
     const std::size_t bi = bi_lo + g / rem;
     const std::size_t bj = k + 1 + g % rem;
     float* EOD_RESTRICT p = a.data();
-    for (std::size_t r = 0; r < B; ++r) {
-      float acc[B] = {};
+    const float* l_blk = p + bi * B * n + k * B;
+    const float* u_blk = p + k * B * n + bj * B;
+    float* out_blk = p + bi * B * n + bj * B;
+    for (std::size_t r0 = 0; r0 < B; r0 += kRows) {
+      sv::vfloat acc[kRows][V] = {};
       for (std::size_t t = 0; t < B; ++t) {
-        const float l = p[(bi * B + r) * n + k * B + t];
-        const float* EOD_RESTRICT u = p + (k * B + t) * n + bj * B;
-        for (std::size_t c = 0; c < B; ++c) acc[c] += l * u[c];
+        sv::vfloat u[V];
+#pragma GCC unroll 16
+        for (std::size_t v = 0; v < V; ++v) {
+          u[v] = sv::vload(u_blk + t * n + v * sv::kLanes);
+        }
+#pragma GCC unroll 16
+        for (std::size_t r = 0; r < kRows; ++r) {
+          const sv::vfloat l = sv::vbroadcast(l_blk[(r0 + r) * n + t]);
+#pragma GCC unroll 16
+          for (std::size_t v = 0; v < V; ++v) acc[r][v] += l * u[v];
+        }
       }
-      float* EOD_RESTRICT out = p + (bi * B + r) * n + bj * B;
-      for (std::size_t c = 0; c < B; ++c) out[c] -= acc[c];
+#pragma GCC unroll 16
+      for (std::size_t r = 0; r < kRows; ++r) {
+        float* out = out_blk + (r0 + r) * n;
+#pragma GCC unroll 16
+        for (std::size_t v = 0; v < V; ++v) {
+          const std::size_t c = v * sv::kLanes;
+          sv::vstore(out + c, sv::vload(out + c) - acc[r][v]);
+        }
+      }
     }
   });
   return internal;

@@ -132,7 +132,9 @@ xcl::Kernel Nw::make_block_kernel(xcl::Buffer& score_buf, xcl::Buffer& sim_buf,
   // Span tier for a barrier kernel (DESIGN.md §9): one call computes the
   // whole B x B block row-major.  Row-major order satisfies every
   // diag/up/left dependency the intra-block wavefront's barriers
-  // enforced, and integer max has no rounding, so the scores are
+  // enforced.  Each row first takes max(diag, up) for all B columns (no
+  // dependency between them), then carries its left chain in a register;
+  // integer max is associative and has no rounding, so the scores are
   // bit-identical to the fiber path.  One group is exactly one block, so
   // begin / B recovers the group index.
   kernel.span([=](std::size_t begin, std::size_t /*end*/) {
@@ -143,14 +145,19 @@ xcl::Kernel Nw::make_block_kernel(xcl::Buffer& score_buf, xcl::Buffer& sim_buf,
     std::int32_t* EOD_RESTRICT sc = score.data();
     const std::int32_t* EOD_RESTRICT sm = sim.data();
     for (std::size_t r = 0; r < B; ++r) {
+      const std::size_t gr = row0 + r;
+      // above[c] is cell (r, c)'s diag neighbour, above[c + 1] its up.
+      const std::int32_t* above = sc + (gr - 1) * m + col0 - 1;
+      const std::int32_t* subst = sm + gr * m + col0;
+      std::int32_t* row = sc + gr * m + col0;
+      std::int32_t cand[B];
       for (std::size_t c = 0; c < B; ++c) {
-        const std::size_t gr = row0 + r;
-        const std::size_t gc = col0 + c;
-        const std::int32_t diag =
-            sc[(gr - 1) * m + gc - 1] + sm[gr * m + gc];
-        const std::int32_t up = sc[(gr - 1) * m + gc] - penalty;
-        const std::int32_t left = sc[gr * m + gc - 1] - penalty;
-        sc[gr * m + gc] = std::max({diag, up, left});
+        cand[c] = std::max(above[c] + subst[c], above[c + 1] - penalty);
+      }
+      std::int32_t left = row[-1];
+      for (std::size_t c = 0; c < B; ++c) {
+        left = std::max(cand[c], left - penalty);
+        row[c] = left;
       }
     }
   });

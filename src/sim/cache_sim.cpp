@@ -1,6 +1,5 @@
 #include "sim/cache_sim.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace eod::sim {
@@ -33,7 +32,6 @@ CacheLevel::CacheLevel(std::size_t size_bytes, unsigned line_bytes,
   sets_pow2_ = is_pow2(sets_);
   set_mask_ = sets_pow2_ ? sets_ - 1 : 0;
   tags_.assign(lines, ~0ull);
-  stamps_.assign(lines, 0);
 }
 
 LruTlb::LruTlb(unsigned entries) {
@@ -148,10 +146,7 @@ void CacheHierarchy::consume_coalesced(const CoalescedAccess* page,
   // Sequential fast path: one fused walk updates caches and TLB together,
   // with every accumulator in a local -- the compiler cannot prove the
   // member counters do not alias `page`, so member updates inside the loop
-  // would be reloaded on every record.  Cache levels share one clock here;
-  // each level only ever compares stamps within one of its own sets, so any
-  // strictly-increasing stamp source leaves the counters bit-identical to
-  // access()'s per-level clocks (verified by tests/cache_replay_test.cpp).
+  // would be reloaded on every record.
   const unsigned shift = l1_.line_shift();
   const unsigned line_to_page = page_shift_ - shift;
   // Repeat fast-credit precondition: after one expansion of the span, every
@@ -164,8 +159,6 @@ void CacheHierarchy::consume_coalesced(const CoalescedAccess* page,
   const std::uint64_t safe_span = l1_.capacity_lines();
   const std::uint64_t tlb_capacity = tlb_.capacity();
   CacheLevel* const l3 = l3_.has_value() ? &*l3_ : nullptr;
-  std::uint64_t clock = std::max(
-      {l1_.clock(), l2_.clock(), l3 ? l3->clock() : std::uint64_t{0}});
   std::uint64_t total = 0, l1h = 0, l1m = 0, l2h = 0, l2m = 0, l3h = 0,
                 l3m = 0, tlbm = 0, l3t = 0;
   std::uint64_t last_line = ~0ull, last_page = ~0ull;
@@ -195,25 +188,24 @@ void CacheHierarchy::consume_coalesced(const CoalescedAccess* page,
           continue;
         }
         last_line = l;
-        ++clock;
         const std::uint64_t page_no = l >> line_to_page;
         if (page_no != last_page) {
           last_page = page_no;
           if (!tlb_.touch(page_no)) ++tlbm;
         }
-        if (l1_.touch_line(l, clock)) {
+        if (l1_.touch_line(l)) {
           ++l1h;
           continue;
         }
         ++l1m;
         const std::uint64_t a = l << shift;
-        if (l2_.touch_line(l2_.line_index(a), clock)) {
+        if (l2_.touch_line(l2_.line_index(a))) {
           ++l2h;
           continue;
         }
         ++l2m;
         if (l3 != nullptr) {
-          if (l3->touch_line(l3->line_index(a), clock)) {
+          if (l3->touch_line(l3->line_index(a))) {
             ++l3h;
             continue;
           }
@@ -239,9 +231,6 @@ void CacheHierarchy::consume_coalesced(const CoalescedAccess* page,
   l1_.credit(l1h, l1m);
   l2_.credit(l2h, l2m);
   if (l3 != nullptr) l3->credit(l3h, l3m);
-  l1_.advance_clock(clock);
-  l2_.advance_clock(clock);
-  if (l3 != nullptr) l3->advance_clock(clock);
 }
 
 void CacheHierarchy::reset() {

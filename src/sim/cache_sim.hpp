@@ -35,9 +35,9 @@ using MemoryTrace = std::vector<MemAccess>;
 
 /// One access plus `repeats` further accesses with the same cache-line
 /// span.  Under LRU a re-touch of the most recently used line(s) is a
-/// guaranteed hit at every level and only refreshes recency stamps it
-/// already tops, so repeats are credited as hits without a lookup --
-/// provably exact (tests/cache_replay_test.cpp).
+/// guaranteed hit at every level and leaves the recency order as it was,
+/// so repeats are credited as hits without a lookup -- provably exact
+/// (tests/cache_replay_test.cpp).
 struct CoalescedAccess {
   std::uint64_t address = 0;
   std::uint32_t bytes = 4;
@@ -53,7 +53,7 @@ class CacheLevel {
   /// Returns true on hit; on miss the line is installed (allocate-on-miss,
   /// no inclusion/exclusion modeling).
   bool access(std::uint64_t address) {
-    const bool hit = touch_line(line_index(address), ++clock_);
+    const bool hit = touch_line(line_index(address));
     if (hit) {
       ++hits_;
     } else {
@@ -62,27 +62,22 @@ class CacheLevel {
     return hit;
   }
 
-  /// LRU state transition only -- no counter updates.  `stamp` must be
-  /// strictly increasing over successive touches of any one set (the
-  /// internal clock, or the hierarchy-wide clock of a fused replay).
-  /// Returns true on hit.
-  bool touch_line(std::uint64_t line, std::uint64_t stamp) noexcept {
+  /// LRU state transition only -- no counter updates.  Each set keeps its
+  /// ways in recency order, most recent first: a hit moves its way to the
+  /// front, a miss drops the last way (an invalid one while the set is not
+  /// full) and installs the line at the front.  Returns true on hit.
+  bool touch_line(std::uint64_t line) noexcept {
     const std::size_t set =
         sets_pow2_ ? static_cast<std::size_t>(line & set_mask_)
                    : static_cast<std::size_t>(line % sets_);
     std::uint64_t* tags = &tags_[set * assoc_];
-    std::uint64_t* stamps = &stamps_[set * assoc_];
-    unsigned victim = 0;
-    for (unsigned w = 0; w < assoc_; ++w) {
-      if (tags[w] == line) {
-        stamps[w] = stamp;
-        return true;
-      }
-      if (stamps[w] < stamps[victim]) victim = w;
-    }
-    tags[victim] = line;
-    stamps[victim] = stamp;
-    return false;
+    unsigned w = 0;
+    while (w < assoc_ && tags[w] != line) ++w;
+    const bool hit = w < assoc_;
+    if (!hit) w = assoc_ - 1;
+    for (; w > 0; --w) tags[w] = tags[w - 1];
+    tags[0] = line;
+    return hit;
   }
 
   /// Folds externally-counted hits/misses (a fused replay's local
@@ -111,13 +106,6 @@ class CacheLevel {
   [[nodiscard]] std::size_t capacity_lines() const noexcept {
     return sets_ * assoc_;
   }
-  [[nodiscard]] std::uint64_t clock() const noexcept { return clock_; }
-  /// Moves the internal stamp clock forward (never backward) so stamps
-  /// handed out after an externally-clocked replay stay above every stamp
-  /// already in the arrays.
-  void advance_clock(std::uint64_t to) noexcept {
-    if (to > clock_) clock_ = to;
-  }
   void reset_counters() noexcept { hits_ = misses_ = 0; }
 
  private:
@@ -127,11 +115,8 @@ class CacheLevel {
   std::size_t sets_ = 0;
   std::uint64_t set_mask_ = 0;
   bool sets_pow2_ = false;
-  // Structure-of-arrays: the tag walk touches one contiguous run of
-  // std::uint64_t per set (vectorizable), stamps only on the chosen way.
-  std::vector<std::uint64_t> tags_;    // sets_ * assoc_, ~0 = invalid
-  std::vector<std::uint64_t> stamps_;  // last-use stamps
-  std::uint64_t clock_ = 0;
+  // sets_ * assoc_ tags, each set's run in recency order; ~0 = invalid.
+  std::vector<std::uint64_t> tags_;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
 };
@@ -142,7 +127,7 @@ class CacheLevel {
 /// tail = the victim) plus an open-addressed page -> entry index with
 /// backward-shift deletion make a hit or a miss O(1) instead of a scan of
 /// every way.  LRU hit/miss outcomes depend only on recency order, which
-/// the list is, so the counters equal a stamp-scan LRU's; the order in
+/// the list is, so the counters equal a one-set CacheLevel's; the order in
 /// which unused entries fill cannot change a counter.  Pinned against a
 /// move-to-front stack by tests/cache_replay_test.cpp.
 class LruTlb {

@@ -26,8 +26,10 @@ std::atomic<int> g_dispatch_mode{-1};
 
 // Tier observability now lives in the process metrics registry
 // (DESIGN.md §11); ExecutorStats is a typed view over these instruments.
-// The references are registry-owned and stable, so per-group updates stay
-// single relaxed atomic adds, exactly as the former file-local atomics.
+// The references are registry-owned and stable.  Each launch adds its whole
+// group count once, before parallel_for, rather than one contended add per
+// group: the totals are the same, and a launch whose body throws still
+// counts every group it dispatched.
 obs::Counter& g_groups_loop = obs::counter("executor.groups_loop");
 obs::Counter& g_groups_fiber = obs::counter("executor.groups_fiber");
 obs::Counter& g_groups_span = obs::counter("executor.groups_span");
@@ -212,10 +214,10 @@ void execute_ndrange(const Kernel& kernel, const NDRange& range,
     const std::size_t lx = range.local(0);
     obs::TraceSpan launch_span(kernel.name().c_str(), "launch:span",
                                "groups", static_cast<double>(groups));
+    g_groups_span.add(groups);
     tp.parallel_for(groups, [span, lx](std::size_t flat) {
       obs::TraceSpan group_span("group:span", "executor");
       span(flat * lx, (flat + 1) * lx);
-      g_groups_span.add(1);
     });
     return;
   }
@@ -228,6 +230,7 @@ void execute_ndrange(const Kernel& kernel, const NDRange& range,
   obs::TraceSpan launch_span(kernel.name().c_str(),
                              needs_fibers ? "launch:fiber" : "launch:loop",
                              "groups", static_cast<double>(groups));
+  (needs_fibers ? g_groups_fiber : g_groups_loop).add(groups);
   tp.parallel_for(groups, [&](std::size_t flat) {
     obs::TraceSpan group_span(needs_fibers ? "group:fiber" : "group:loop",
                               "executor");
@@ -236,11 +239,9 @@ void execute_ndrange(const Kernel& kernel, const NDRange& range,
     const GroupCoords g = decode_group(range, flat);
     if (needs_fibers) {
       run_group_fibers(kernel, g, ws.arena, ws.fibers);
-      g_groups_fiber.add(1);
     } else {
       run_group_loop(kernel, g, ws.arena,
                      kernel.barriers() ? &noop_barrier : nullptr);
-      g_groups_loop.add(1);
     }
     note_arena_use(ws);
   });

@@ -20,6 +20,7 @@
 // and an active CheckSession overrides kAuto.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -30,9 +31,11 @@
 
 #include "dwarfs/common.hpp"
 #include "dwarfs/crc/crc.hpp"
+#include "dwarfs/dwt/dwt.hpp"
 #include "dwarfs/fft/fft.hpp"
 #include "dwarfs/gem/gem.hpp"
 #include "dwarfs/kmeans/kmeans.hpp"
+#include "dwarfs/lud/lud.hpp"
 #include "dwarfs/registry.hpp"
 #include "dwarfs/srad/srad.hpp"
 #include "sim/device_spec.hpp"
@@ -153,6 +156,9 @@ void PrintTo(const SpanCase& c, std::ostream* os) {
 // gem (O(vertices x atoms)) and cwt (O(N x S x support)) grow
 // superlinearly; their medium/large functional passes run for minutes, so
 // -- like dwarf_validation_test -- the equivalence cells stop at small.
+// lud's item tier runs every interior block as 256 fibers, one ucontext
+// switch per barrier: one medium pass takes about 40 s on 4 cores, so its
+// cells stop at small (medium's auto bits are pinned in medium_pins_test).
 // Every size still takes the same span code path (tail clamping included:
 // the tested cells already exercise padded final groups).
 const SpanCase kCases[] = {
@@ -168,6 +174,7 @@ const SpanCase kCases[] = {
              ProblemSize::kLarge}},
     {"nw", {ProblemSize::kTiny, ProblemSize::kSmall, ProblemSize::kMedium,
             ProblemSize::kLarge}},
+    {"lud", {ProblemSize::kTiny, ProblemSize::kSmall}},
     {"gem", {ProblemSize::kTiny, ProblemSize::kSmall}},
     {"cwt", {ProblemSize::kTiny, ProblemSize::kSmall}},
 };
@@ -236,12 +243,36 @@ std::unique_ptr<eod::dwarfs::Dwarf> gem_with(std::size_t atoms) {
   return d;
 }
 
+// The preset's three levels, or as many as the extent allows.
+std::unique_ptr<eod::dwarfs::Dwarf> dwt_with(std::size_t width,
+                                             std::size_t height) {
+  auto d = std::make_unique<eod::dwarfs::Dwt>();
+  const eod::dwarfs::Dwt::Extent extent{width, height};
+  d->configure(extent, std::min(eod::dwarfs::Dwt::kLevels,
+                                eod::dwarfs::Dwt::max_levels(extent)));
+  return d;
+}
+
+std::unique_ptr<eod::dwarfs::Dwarf> lud_with(std::size_t n) {
+  auto d = std::make_unique<eod::dwarfs::Lud>();
+  d->configure(n);
+  return d;
+}
+
 const SimdCase kSimdCases[] = {
     {"kmeans",
      {[] { return kmeans_with(1021, 26); }, [] { return kmeans_with(7, 3); }}},
     {"crc", {[] { return crc_with(100003); }, [] { return crc_with(13); }}},
     {"srad", {[] { return srad_with(67, 61); }, [] { return srad_with(5, 3); }}},
     {"gem", {[] { return gem_with(203); }, [] { return gem_with(3); }}},
+    // Column ranges that end mid-vector in the vertical pass, on every
+    // level (67 -> 34 -> 17 columns), and a one-level 3x2 image.
+    {"dwt", {[] { return dwt_with(67, 61); }, [] { return dwt_with(3, 2); }}},
+    // One, two and three block rows: the widest trailing update is
+    // rem = 0 (diagonal only), 1 and 2 blocks.
+    {"lud",
+     {[] { return lud_with(16); }, [] { return lud_with(32); },
+      [] { return lud_with(48); }}},
 };
 
 class SimdTier : public ::testing::TestWithParam<SimdCase> {};
