@@ -1,5 +1,6 @@
 #include "dwarfs/dwt/dwt.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 #include <string>
@@ -34,26 +35,31 @@ void Dwt::setup(ProblemSize size) {
 }
 
 void Dwt::configure(Extent extent, unsigned levels) {
+  set_extent(extent, levels);
+  // The paper's large image is the original photo; smaller classes are
+  // down-sampled with ImageMagick.  Mirror that: render the full-size leaf
+  // straight into the requested extent's box averages.
+  const Extent full = extent_for(ProblemSize::kLarge);
+  render_leaf_resized(full.width, full.height, extent.width, extent.height,
+                      input_);
+}
+
+void Dwt::configure_with_image(Extent extent, unsigned levels,
+                               std::span<const float> image) {
+  require(image.size() == extent.width * extent.height,
+          xcl::Status::kInvalidValue,
+          "dwt image must hold width x height pixels");
+  set_extent(extent, levels);
+  std::copy(image.begin(), image.end(), input_.begin());
+}
+
+void Dwt::set_extent(Extent extent, unsigned levels) {
   require_levels(extent, levels);
   require(levels >= 1, xcl::Status::kInvalidValue,
           "dwt needs at least one level");
   extent_ = extent;
   levels_ = levels;
-  // The paper's large image is the original photo; smaller classes are
-  // down-sampled with ImageMagick.  Mirror that: synthesize the full-size
-  // leaf, then box-resize to the requested dimensions.
-  const Extent full = extent_for(ProblemSize::kLarge);
-  GrayImage leaf = generate_leaf_image(full.width, full.height);
-  if (extent_.width != full.width || extent_.height != full.height) {
-    leaf = box_resize(leaf, extent_.width, extent_.height);
-  }
-  const std::size_t width = extent_.width;
-  input_ = HostVector<float>(width * extent_.height);
-  xcl::ThreadPool::global().parallel_for(extent_.height, [&](std::size_t y) {
-    for (std::size_t i = y * width; i < (y + 1) * width; ++i) {
-      input_[i] = static_cast<float>(leaf.pixels[i]);
-    }
-  });
+  input_ = HostVector<float>(extent.width * extent.height);
   output_ = HostVector<float>(input_.size());
 }
 

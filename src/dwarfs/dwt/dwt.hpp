@@ -4,8 +4,8 @@
 //
 // CDF 5/3 lifting (predict + update), three decomposition levels (Table 3:
 // -l 3), separable: a horizontal pass then a vertical pass per level, with
-// the low-pass quadrant recursing.  Input images are synthesized by the
-// leaf generator and box-resized to the Table 2 dimensions.
+// the low-pass quadrant recursing.  Input images are the leaf generator's
+// image box-resampled to the Table 2 dimensions (render_leaf_resized).
 #pragma once
 
 #include <cstddef>
@@ -32,6 +32,11 @@ class Dwt final : public Dwarf {
   /// Table 2 preset configure(extent_for(size), kLevels).  Throws
   /// std::invalid_argument (see require_levels) past max_levels(extent).
   void configure(Extent extent, unsigned levels);
+
+  /// Transforms a caller-supplied raster (row-major, width*height floats)
+  /// instead of the leaf, e.g. one with fractional pixels.
+  void configure_with_image(Extent extent, unsigned levels,
+                            std::span<const float> image);
 
   /// Deepest decomposition the extent supports: the number of halvings
   /// while both sides stay >= 2.
@@ -70,6 +75,10 @@ class Dwt final : public Dwarf {
   static void reference_idwt53(std::span<double> data, std::size_t width,
                                std::size_t height, unsigned levels);
 
+  /// The configured input raster, row-major.
+  [[nodiscard]] std::span<const float> input() const noexcept {
+    return input_;
+  }
   /// The transformed coefficients (valid after finish()).
   [[nodiscard]] std::span<const float> coefficients() const noexcept {
     return output_;
@@ -82,6 +91,9 @@ class Dwt final : public Dwarf {
   }
 
  private:
+  /// Validates `extent` and `levels`, records them and allocates the
+  /// input and output rasters.
+  void set_extent(Extent extent, unsigned levels);
   void enqueue_level(std::size_t lw, std::size_t lh);
 
   Extent extent_;

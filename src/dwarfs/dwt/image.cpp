@@ -5,40 +5,38 @@
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "xcl/thread_pool.hpp"
 
 namespace eod::dwarfs {
 
-GrayImage generate_leaf_image(std::size_t width, std::size_t height) {
-  GrayImage img;
-  img.width = width;
-  img.height = height;
-  img.pixels.resize(width * height);
+namespace {
 
-  const double w = static_cast<double>(width);
-  const double h = static_cast<double>(height);
-  // The leaf's shape terms depend only on the column: tabulate them once
-  // per column (the same expressions, so the same bits), then render the
-  // rows in parallel.
-  struct Column {
-    double u;      // normalised coordinate in [-1, 1], leaf axis horizontal
-    double blade;  // half-width of the leaf blade at u
-    double vein;   // lateral-vein phase at u, before the |v| taper
-  };
-  std::vector<Column> cols(width);
-  for (std::size_t x = 0; x < width; ++x) {
-    const double u = 2.0 * (static_cast<double>(x) + 0.5) / w - 1.0;
-    cols[x].u = u;
-    // Lens shape |v| < blade(u) with a serrated margin.
-    cols[x].blade = 0.62 * std::sqrt(std::max(0.0, 1.0 - u * u)) *
-                    (1.0 + 0.12 * std::sin(9.0 * M_PI * u));
-    cols[x].vein = std::sin(14.0 * (u + 1.0) * M_PI) * 0.5;
-  }
-  xcl::ThreadPool::global().parallel_for(height, [&](std::size_t y) {
-    const double v = 2.0 * (static_cast<double>(y) + 0.5) / h - 1.0;
+// Renders the leaf one row at a time.  The leaf's shape terms depend only
+// on the column, so they are tabulated once per column and every row reads
+// the same bits.
+class LeafRows {
+ public:
+  LeafRows(std::size_t width, std::size_t height)
+      : cols_(width), h_(static_cast<double>(height)) {
+    const double w = static_cast<double>(width);
     for (std::size_t x = 0; x < width; ++x) {
-      const Column& c = cols[x];
+      const double u = 2.0 * (static_cast<double>(x) + 0.5) / w - 1.0;
+      cols_[x].u = u;
+      // Lens shape |v| < blade(u) with a serrated margin.
+      cols_[x].blade = 0.62 * std::sqrt(std::max(0.0, 1.0 - u * u)) *
+                       (1.0 + 0.12 * std::sin(9.0 * M_PI * u));
+      cols_[x].vein = std::sin(14.0 * (u + 1.0) * M_PI) * 0.5;
+    }
+  }
+
+  // Writes row y's pixels to out[0, width).
+  void render(std::size_t y, std::uint8_t* out) const {
+    const double v = 2.0 * (static_cast<double>(y) + 0.5) / h_ - 1.0;
+    for (std::size_t x = 0; x < cols_.size(); ++x) {
+      const Column& c = cols_[x];
       // Background: soft diagonal gradient.
       double val = 190.0 + 30.0 * (c.u + v) * 0.5;
       if (std::abs(v) < c.blade) {
@@ -53,48 +51,148 @@ GrayImage generate_leaf_image(std::size_t width, std::size_t height) {
       const std::uint64_t n =
           (x * 0x9e3779b97f4a7c15ull) ^ (y * 0xbf58476d1ce4e5b9ull);
       val += static_cast<double>((n >> 33) & 0xF) - 7.5;
-
-      img.pixels[y * width + x] =
-          static_cast<std::uint8_t>(std::clamp(val, 0.0, 255.0));
+      out[x] = static_cast<std::uint8_t>(std::clamp(val, 0.0, 255.0));
     }
+  }
+
+ private:
+  struct Column {
+    double u;      // normalised coordinate in [-1, 1], leaf axis horizontal
+    double blade;  // half-width of the leaf blade at u
+    double vein;   // lateral-vein phase at u, before the |v| taper
+  };
+  std::vector<Column> cols_;
+  double h_;
+};
+
+// The source cells [lo, hi) a box resample of `src` cells to `dst` cells
+// averages into each destination cell (one axis).
+struct Box {
+  std::size_t lo;
+  std::size_t hi;
+};
+
+std::vector<Box> box_bounds(std::size_t src, std::size_t dst) {
+  const double s = static_cast<double>(src) / dst;
+  std::vector<Box> boxes(dst);
+  for (std::size_t i = 0; i < dst; ++i) {
+    const auto lo = static_cast<std::size_t>(i * s);
+    boxes[i] = {lo, std::max<std::size_t>(
+                        lo + 1, std::min(src, static_cast<std::size_t>(
+                                                  std::ceil((i + 1) * s))))};
+  }
+  return boxes;
+}
+
+std::uint8_t box_average(double sum, const Box& x, const Box& y) {
+  const std::size_t count = (x.hi - x.lo) * (y.hi - y.lo);
+  return static_cast<std::uint8_t>(std::clamp(sum / count, 0.0, 255.0));
+}
+
+void require_target(std::size_t width, std::size_t height) {
+  if (width == 0 || height == 0) {
+    throw std::invalid_argument("box_resize target must be non-empty");
+  }
+}
+
+}  // namespace
+
+GrayImage generate_leaf_image(std::size_t width, std::size_t height) {
+  GrayImage img;
+  img.width = width;
+  img.height = height;
+  img.pixels.resize(width * height);
+  const LeafRows leaf(width, height);
+  xcl::ThreadPool::global().parallel_for(height, [&](std::size_t y) {
+    leaf.render(y, &img.pixels[y * width]);
   });
   return img;
 }
 
 GrayImage box_resize(const GrayImage& src, std::size_t width,
                      std::size_t height) {
-  if (width == 0 || height == 0) {
-    throw std::invalid_argument("box_resize target must be non-empty");
-  }
+  require_target(width, height);
   GrayImage dst;
   dst.width = width;
   dst.height = height;
   dst.pixels.resize(width * height);
-  const double sx = static_cast<double>(src.width) / width;
-  const double sy = static_cast<double>(src.height) / height;
+  const std::vector<Box> xs = box_bounds(src.width, width);
+  const std::vector<Box> ys = box_bounds(src.height, height);
   xcl::ThreadPool::global().parallel_for(height, [&](std::size_t y) {
-    const auto y0 = static_cast<std::size_t>(y * sy);
-    const auto y1 = std::max<std::size_t>(
-        y0 + 1, std::min(src.height, static_cast<std::size_t>(
-                                         std::ceil((y + 1) * sy))));
     for (std::size_t x = 0; x < width; ++x) {
-      const auto x0 = static_cast<std::size_t>(x * sx);
-      const auto x1 = std::max<std::size_t>(
-          x0 + 1, std::min(src.width, static_cast<std::size_t>(
-                                          std::ceil((x + 1) * sx))));
       double acc = 0.0;
-      std::size_t count = 0;
-      for (std::size_t yy = y0; yy < y1; ++yy) {
-        for (std::size_t xx = x0; xx < x1; ++xx) {
+      for (std::size_t yy = ys[y].lo; yy < ys[y].hi; ++yy) {
+        for (std::size_t xx = xs[x].lo; xx < xs[x].hi; ++xx) {
           acc += src.at(xx, yy);
-          ++count;
         }
       }
-      dst.pixels[y * width + x] = static_cast<std::uint8_t>(
-          std::clamp(acc / std::max<std::size_t>(1, count), 0.0, 255.0));
+      dst.pixels[y * width + x] = box_average(acc, xs[x], ys[y]);
     }
   });
   return dst;
+}
+
+void render_leaf_resized(std::size_t full_width, std::size_t full_height,
+                         std::size_t width, std::size_t height,
+                         std::span<float> out) {
+  require_target(width, height);
+  if (out.size() != width * height) {
+    throw std::invalid_argument("render_leaf_resized: out must hold " +
+                                std::to_string(width * height) + " pixels");
+  }
+  // A band of output rows renders each source row its boxes cover once, in
+  // ascending order, and adds it into the sums of every output row whose
+  // box holds it: yy ascending outside, xx ascending inside, as box_resize
+  // sums them.  At the full size every box is one pixel, so the rows
+  // convert as they render.  Each pool task walks a run of bands with
+  // scratch allocated here: scratch a worker allocated would stay resident
+  // in that worker's malloc arena.
+  constexpr std::size_t kBand = 4;  // output rows per band
+  const LeafRows leaf(full_width, full_height);
+  const std::vector<Box> xs = box_bounds(full_width, width);
+  const std::vector<Box> ys = box_bounds(full_height, height);
+  const bool identity = width == full_width && height == full_height;
+  xcl::ThreadPool& pool = xcl::ThreadPool::global();
+  const std::size_t bands = (height + kBand - 1) / kBand;
+  const std::size_t tasks =
+      std::min<std::size_t>(bands, 4 * (std::size_t{pool.size()} + 1));
+  xcl::HostVector<std::uint8_t> rows(tasks * full_width);
+  xcl::HostVector<double> sums(identity ? 0 : tasks * kBand * width);
+  pool.parallel_for(tasks, [&](std::size_t t) {
+    std::uint8_t* row = &rows[t * full_width];
+    for (std::size_t band = t * bands / tasks;
+         band < (t + 1) * bands / tasks; ++band) {
+      const std::size_t y0 = band * kBand;
+      const std::size_t y1 = std::min(height, y0 + kBand);
+      if (identity) {
+        for (std::size_t y = y0; y < y1; ++y) {
+          leaf.render(y, row);
+          std::copy(row, row + width, out.begin() + y * width);
+        }
+        continue;
+      }
+      double* acc = &sums[t * kBand * width];
+      std::fill(acc, acc + (y1 - y0) * width, 0.0);
+      for (std::size_t yy = ys[y0].lo; yy < ys[y1 - 1].hi; ++yy) {
+        leaf.render(yy, row);
+        for (std::size_t y = y0; y < y1; ++y) {
+          if (yy < ys[y].lo || yy >= ys[y].hi) continue;
+          double* line = acc + (y - y0) * width;
+          for (std::size_t x = 0; x < width; ++x) {
+            for (std::size_t xx = xs[x].lo; xx < xs[x].hi; ++xx) {
+              line[x] += row[xx];
+            }
+          }
+        }
+      }
+      for (std::size_t y = y0; y < y1; ++y) {
+        for (std::size_t x = 0; x < width; ++x) {
+          out[y * width + x] = static_cast<float>(
+              box_average(acc[(y - y0) * width + x], xs[x], ys[y]));
+        }
+      }
+    }
+  });
 }
 
 namespace {

@@ -34,6 +34,15 @@ struct GrayImage {
 [[nodiscard]] GrayImage box_resize(const GrayImage& src, std::size_t width,
                                    std::size_t height);
 
+/// The leaf image rendered straight at `width` x `height`, as floats into
+/// `out` (row-major, width*height): pixel for pixel
+/// box_resize(generate_leaf_image(full_width, full_height), width, height),
+/// without the full-size raster.  At the full size every box is one pixel,
+/// so `out` is the leaf itself.
+void render_leaf_resized(std::size_t full_width, std::size_t full_height,
+                         std::size_t width, std::size_t height,
+                         std::span<float> out);
+
 /// Binary PGM (P5) writer/reader.
 void save_pgm(const GrayImage& img, const std::string& path);
 [[nodiscard]] GrayImage load_pgm(const std::string& path);

@@ -170,23 +170,31 @@ void Gem::bind(xcl::Context& ctx, xcl::Queue& q) {
   atoms_buf_.emplace(ctx, a * 4 * sizeof(float));
   verts_buf_.emplace(ctx, v * 3 * sizeof(float));
   pot_buf_.emplace(ctx, v * sizeof(float));
-  {
-    auto span = atoms_buf_->view<float>();
-    for (std::size_t i = 0; i < a; ++i) {
-      span[4 * i] = mol_.x[i];
-      span[4 * i + 1] = mol_.y[i];
-      span[4 * i + 2] = mol_.z[i];
-      span[4 * i + 3] = mol_.q[i];
-    }
-  }
-  {
-    auto span = verts_buf_->view<float>();
-    for (std::size_t i = 0; i < v; ++i) {
-      span[3 * i] = vx_[i];
-      span[3 * i + 1] = vy_[i];
-      span[3 * i + 2] = vz_[i];
-    }
-  }
+  // The interleave writes buffer payload outside the queue, so it keeps
+  // the queue's rule: a model-only queue runs no kernel that could read it
+  // and moves no bytes (DESIGN.md §5, "Model-only measurements").
+  if (!q.functional()) return;
+  float* xyzq = atoms_buf_->view<float>().data();
+  float* xyz = verts_buf_->view<float>().data();
+  constexpr std::size_t kChunk = 4096;  // atoms and vertices per pool task
+  const std::size_t n = std::max(a, v);
+  xcl::ThreadPool::global().parallel_for(
+      (n + kChunk - 1) / kChunk, [&](std::size_t chunk) {
+        const std::size_t lo = chunk * kChunk;
+        for (std::size_t i = lo, end = std::min(a, lo + kChunk); i < end;
+             ++i) {
+          xyzq[4 * i] = mol_.x[i];
+          xyzq[4 * i + 1] = mol_.y[i];
+          xyzq[4 * i + 2] = mol_.z[i];
+          xyzq[4 * i + 3] = mol_.q[i];
+        }
+        for (std::size_t i = lo, end = std::min(v, lo + kChunk); i < end;
+             ++i) {
+          xyz[3 * i] = vx_[i];
+          xyz[3 * i + 1] = vy_[i];
+          xyz[3 * i + 2] = vz_[i];
+        }
+      });
 }
 
 void Gem::run() {

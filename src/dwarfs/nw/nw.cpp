@@ -85,10 +85,14 @@ void Nw::configure(std::size_t n, std::int32_t penalty) {
     }
   });
   init_matrix_ = HostVector<std::int32_t>(m * m);
-  for (std::size_t i = 1; i < m; ++i) {
-    init_matrix_[i * m] = -static_cast<std::int32_t>(i) * penalty_;
-    init_matrix_[i] = -static_cast<std::int32_t>(i) * penalty_;
+  for (std::size_t j = 1; j < m; ++j) {
+    init_matrix_[j] = -static_cast<std::int32_t>(j) * penalty_;
   }
+  // Column 0 touches one page per row: fault them in row-parallel.
+  xcl::ThreadPool::global().parallel_for(m - 1, [&](std::size_t r) {
+    const std::size_t i = r + 1;
+    init_matrix_[i * m] = -static_cast<std::int32_t>(i) * penalty_;
+  });
   result_ = HostVector<std::int32_t>(m * m);
 }
 

@@ -4,6 +4,9 @@
 // serial reference; invalid parameters are rejected with clear errors.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "dwarfs/crc/crc.hpp"
 #include "dwarfs/csr/csr.hpp"
 #include "dwarfs/dwt/dwt.hpp"
@@ -92,6 +95,16 @@ TEST(DwtConfigure, RejectsDegenerateInput) {
   Dwt dwt;
   EXPECT_THROW(dwt.configure({1, 64}, 3), xcl::Error);
   EXPECT_THROW(dwt.configure({64, 64}, 0), xcl::Error);
+}
+
+TEST(DwtConfigure, ImageMustFillTheExtent) {
+  Dwt dwt;
+  const std::vector<float> image(4 * 3, 1.5f);
+  EXPECT_THROW(dwt.configure_with_image({4, 4}, 1, image), xcl::Error);
+  dwt.configure_with_image({4, 3}, 1, image);
+  EXPECT_TRUE(std::equal(image.begin(), image.end(), dwt.input().begin(),
+                         dwt.input().end()));
+  expect_valid(dwt, "dwt from an image");
 }
 
 TEST(DwtConfigure, MoreLevelsStillValidate) {

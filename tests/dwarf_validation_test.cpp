@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <stdexcept>
 
@@ -310,6 +311,33 @@ TEST(MultiChunkInputPins, GeneratedInputsMatchPins) {
     const std::uint64_t hash = generated_input_hash(pin.what, pin.size);
     EXPECT_EQ(hash, pin.hash)
         << pin.what << ' ' << to_string(pin.size) << ": 0x" << std::hex << hash;
+  }
+}
+
+// Dwt::configure renders the leaf straight into its box averages; the
+// input it holds must equal the reference path the leaf_image pins hash,
+// float(box_resize(generate_leaf_image(full), extent)), element for
+// element, and the leaf itself at large.
+TEST(MultiChunkInputPins, DwtInputMatchesReferencePath) {
+  const Dwt::Extent full = Dwt::extent_for(ProblemSize::kLarge);
+  const GrayImage leaf = generate_leaf_image(full.width, full.height);
+  for (const ProblemSize s : {ProblemSize::kTiny, ProblemSize::kSmall,
+                              ProblemSize::kMedium, ProblemSize::kLarge}) {
+    const Dwt::Extent e = Dwt::extent_for(s);
+    const GrayImage want = s == ProblemSize::kLarge
+                               ? leaf
+                               : box_resize(leaf, e.width, e.height);
+    Dwt dwt;
+    dwt.setup(s);
+    const std::span<const float> got = dwt.input();
+    ASSERT_EQ(got.size(), want.pixels.size()) << to_string(s);
+    std::size_t mismatches = 0;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      mismatches += std::bit_cast<std::uint32_t>(got[i]) !=
+                    std::bit_cast<std::uint32_t>(
+                        static_cast<float>(want.pixels[i]));
+    }
+    EXPECT_EQ(mismatches, 0u) << to_string(s);
   }
 }
 

@@ -8,6 +8,12 @@
 // and EXPERIMENTS.md together.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <ostream>
+#include <string>
+#include <vector>
+
 #include "dwarfs/registry.hpp"
 #include "harness/runner.hpp"
 #include "sim/testbed.hpp"
@@ -99,6 +105,64 @@ TEST(RegressionBands, TransferAnchors) {
   EXPECT_GT(m.transfer_seconds * 1e3, 1.0);
   EXPECT_LT(m.transfer_seconds * 1e3, 20.0);
 }
+
+// The modeled times are a function of the workload, not of whether its
+// kernels ran: a model-only measurement (functional = false) reports the
+// functional pass's kernel, span and transfer seconds bit for bit.  Host
+// work a dwarf skips on a model-only queue (its functional() guards in
+// bind and run) must keep this true.
+struct ModeCase {
+  std::string bench;
+  std::vector<ProblemSize> sizes;
+};
+
+void PrintTo(const ModeCase& c, std::ostream* os) { *os << c.bench; }
+
+// Every Table 2 dwarf plus cwt at tiny and small; gem also at medium, whose
+// bind skips its interleave on a model-only queue.
+std::vector<ModeCase> mode_cases() {
+  std::vector<std::string> names = dwarfs::benchmark_names();
+  names.emplace_back("cwt");
+  std::vector<ModeCase> cases;
+  for (const std::string& name : names) {
+    ModeCase c{name, {}};
+    for (const ProblemSize s : dwarfs::create_dwarf(name)->supported_sizes()) {
+      if (s == ProblemSize::kTiny || s == ProblemSize::kSmall ||
+          (name == "gem" && s == ProblemSize::kMedium)) {
+        c.sizes.push_back(s);
+      }
+    }
+    cases.push_back(std::move(c));
+  }
+  return cases;
+}
+
+class ModelOnly : public ::testing::TestWithParam<ModeCase> {};
+
+TEST_P(ModelOnly, ModeledTimesMatchFunctionalBitExactly) {
+  const ModeCase& c = GetParam();
+  auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  for (const ProblemSize size : c.sizes) {
+    for (const char* device : {"i7-6700K", "GTX 1080"}) {
+      SCOPED_TRACE(c.bench + "/" + to_string(size) + " on " + device);
+      auto run = [&](bool functional) {
+        MeasureOptions o;
+        o.samples = 1;
+        o.functional = functional;
+        auto dwarf = dwarfs::create_dwarf(c.bench);
+        return measure(*dwarf, size, sim::testbed_device(device), o);
+      };
+      const Measurement fn = run(true);
+      const Measurement model = run(false);
+      EXPECT_EQ(bits(model.kernel_seconds), bits(fn.kernel_seconds));
+      EXPECT_EQ(bits(model.span_seconds), bits(fn.span_seconds));
+      EXPECT_EQ(bits(model.transfer_seconds), bits(fn.transfer_seconds));
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Suite, ModelOnly, ::testing::ValuesIn(mode_cases()),
+                         [](const auto& ti) { return ti.param.bench; });
 
 }  // namespace
 }  // namespace eod::harness

@@ -144,6 +144,9 @@ void expect_fast_matches_item(const RunOutcome& item, const RunOutcome& fast) {
 struct SpanCase {
   const char* name;
   std::vector<ProblemSize> sizes;
+  /// Builds the configured dwarf for a size; empty = the registry's
+  /// create_dwarf(name) set up at that size.
+  std::function<std::unique_ptr<eod::dwarfs::Dwarf>(ProblemSize)> make = {};
 };
 
 // Print a case by its dwarf name: gtest's default byte dump would put the
@@ -161,6 +164,9 @@ void PrintTo(const SpanCase& c, std::ostream* os) {
 // cells stop at small (medium's auto bits are pinned in medium_pins_test).
 // Every size still takes the same span code path (tail clamping included:
 // the tested cells already exercise padded final groups).
+std::unique_ptr<eod::dwarfs::Dwarf> dwt_fractional(std::size_t width,
+                                                   std::size_t height);
+
 const SpanCase kCases[] = {
     {"kmeans", {ProblemSize::kTiny, ProblemSize::kSmall, ProblemSize::kMedium,
                 ProblemSize::kLarge}},
@@ -177,6 +183,14 @@ const SpanCase kCases[] = {
     {"lud", {ProblemSize::kTiny, ProblemSize::kSmall}},
     {"gem", {ProblemSize::kTiny, ProblemSize::kSmall}},
     {"cwt", {ProblemSize::kTiny, ProblemSize::kSmall}},
+    // The leaf's 8-bit pixels keep dwt's lifting sums exact, so only a
+    // fractional raster shows a change of rounding order.
+    {"dwt_fractional",
+     {ProblemSize::kTiny, ProblemSize::kSmall, ProblemSize::kMedium},
+     [](ProblemSize s) {
+       const eod::dwarfs::Dwt::Extent e = eod::dwarfs::Dwt::extent_for(s);
+       return dwt_fractional(e.width, e.height);
+     }},
 };
 
 class SpanTier : public ::testing::TestWithParam<SpanCase> {};
@@ -185,6 +199,14 @@ TEST_P(SpanTier, SpanMatchesItemReferenceBitExactly) {
   const SpanCase& c = GetParam();
   for (const ProblemSize size : c.sizes) {
     SCOPED_TRACE(std::string(c.name) + "/" + eod::dwarfs::to_string(size));
+    if (c.make) {
+      const auto item_dwarf = c.make(size);
+      const auto span_dwarf = c.make(size);
+      expect_fast_matches_item(
+          run_dwarf(*item_dwarf, eod::xcl::DispatchMode::kItem, std::nullopt),
+          run_dwarf(*span_dwarf, eod::xcl::DispatchMode::kAuto, std::nullopt));
+      continue;
+    }
     const RunOutcome item =
         run_once(c.name, size, eod::xcl::DispatchMode::kItem);
     const RunOutcome span =
@@ -253,6 +275,21 @@ std::unique_ptr<eod::dwarfs::Dwarf> dwt_with(std::size_t width,
   return d;
 }
 
+// A seeded raster with fractional pixels and the same levels as dwt_with.
+std::unique_ptr<eod::dwarfs::Dwarf> dwt_fractional(std::size_t width,
+                                                   std::size_t height) {
+  std::vector<float> image(width * height);
+  eod::dwarfs::SplitMix64 rng(0x647774ull);  // "dwt"
+  for (float& p : image) p = rng.uniform(0.0f, 255.0f);
+  auto d = std::make_unique<eod::dwarfs::Dwt>();
+  const eod::dwarfs::Dwt::Extent extent{width, height};
+  d->configure_with_image(extent,
+                          std::min(eod::dwarfs::Dwt::kLevels,
+                                   eod::dwarfs::Dwt::max_levels(extent)),
+                          image);
+  return d;
+}
+
 std::unique_ptr<eod::dwarfs::Dwarf> lud_with(std::size_t n) {
   auto d = std::make_unique<eod::dwarfs::Lud>();
   d->configure(n);
@@ -268,6 +305,9 @@ const SimdCase kSimdCases[] = {
     // Column ranges that end mid-vector in the vertical pass, on every
     // level (67 -> 34 -> 17 columns), and a one-level 3x2 image.
     {"dwt", {[] { return dwt_with(67, 61); }, [] { return dwt_with(3, 2); }}},
+    {"dwt_fractional",
+     {[] { return dwt_fractional(67, 61); },
+      [] { return dwt_fractional(3, 2); }}},
     // One, two and three block rows: the widest trailing update is
     // rem = 0 (diagonal only), 1 and 2 blocks.
     {"lud",

@@ -4,6 +4,8 @@
 
 #include <cmath>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "dwarfs/common.hpp"
 #include "dwarfs/dwt/image.hpp"
@@ -117,6 +119,24 @@ TEST(Image, ResizeIdentityWhenSameSize) {
   const GrayImage img = generate_leaf_image(32, 24);
   const GrayImage same = box_resize(img, 32, 24);
   EXPECT_EQ(same.pixels, img.pixels);
+}
+
+// The fused render equals the reference pair at shrinking, odd, identity
+// and growing shapes, and refuses an output of the wrong size.
+TEST(Image, FusedRenderMatchesResizedLeaf) {
+  const GrayImage leaf = generate_leaf_image(97, 61);
+  const std::pair<std::size_t, std::size_t> shapes[] = {
+      {5, 3}, {13, 61}, {97, 7}, {96, 60}, {97, 61}, {150, 100}};
+  for (const auto& [w, h] : shapes) {
+    const GrayImage want = box_resize(leaf, w, h);
+    std::vector<float> got(w * h);
+    render_leaf_resized(97, 61, w, h, got);
+    std::vector<float> want_f(want.pixels.begin(), want.pixels.end());
+    EXPECT_EQ(got, want_f) << w << 'x' << h;
+  }
+  std::vector<float> short_out(4);
+  EXPECT_THROW(render_leaf_resized(97, 61, 5, 1, short_out),
+               std::invalid_argument);
 }
 
 TEST(QueueTimeline, FinishReturnsLastEventEnd) {
