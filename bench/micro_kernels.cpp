@@ -30,7 +30,13 @@
 // byte-at-a-time FNV-1a it must equal, on 64 MiB of random bytes, in ns
 // per MiB.  The two values must be identical; with >= 4 pool workers
 // hash_result must be >= 1.5x faster.
+//
+// Part 4: dataset setup.  Dwarf::setup() of the four dwarfs whose input
+// generators dominate a suite sweep's setup (dwt, csr, gem, nqueens), at
+// every size the sweep runs, each rep on a fresh dwarf; the median is
+// written as setup_<dwarf>_<size>_ms.  Host times, advisory: no gate.
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <functional>
 #include <span>
@@ -70,6 +76,8 @@ constexpr int kDwarfGateCount = 2;
 constexpr std::size_t kSignatureBytes = std::size_t{64} << 20;
 constexpr double kSignatureGateRatio = 1.5;
 constexpr unsigned kSignatureGateWorkers = 4;
+constexpr int kSetupReps = 5;
+constexpr const char* kSetupDwarfs[] = {"dwt", "csr", "gem", "nqueens"};
 
 struct ScopedDispatchMode {
   explicit ScopedDispatchMode(xcl::DispatchMode m) {
@@ -287,6 +295,19 @@ double ns_per_mib(std::span<const std::uint8_t> bytes, HashFn&& hash,
          (static_cast<double>(bytes.size()) / (1 << 20));
 }
 
+// Median milliseconds of Dwarf::setup(size), each rep on a fresh dwarf.
+double setup_ms(const char* name, dwarfs::ProblemSize size) {
+  std::vector<double> ms;
+  for (int i = 0; i < kSetupReps; ++i) {
+    auto dwarf = dwarfs::create_dwarf(name);
+    const std::uint64_t t0 = scibench::now_ns();
+    dwarf->setup(size);
+    ms.push_back(static_cast<double>(scibench::now_ns() - t0) * 1e-6);
+  }
+  std::sort(ms.begin(), ms.end());
+  return ms[ms.size() / 2];
+}
+
 }  // namespace
 
 int main() {
@@ -410,6 +431,19 @@ int main() {
               kSignatureBytes >> 20, loop_ns, hash_ns, sig_ratio, workers);
   json.value("signature_byte_loop_ns_per_mib", loop_ns);
   json.value("signature_hash_result_ns_per_mib", hash_ns);
+
+  std::printf("\ndataset setup, median of %d fresh setups (advisory)\n",
+              kSetupReps);
+  for (const char* name : kSetupDwarfs) {
+    for (const dwarfs::ProblemSize size :
+         dwarfs::create_dwarf(name)->supported_sizes()) {
+      const double ms = setup_ms(name, size);
+      std::printf("%-8s %-8s %8.2f ms\n", name, dwarfs::to_string(size), ms);
+      json.value(std::string("setup_") + name + "_" +
+                     dwarfs::to_string(size) + "_ms",
+                 ms);
+    }
+  }
   json.speedup(target);
   if (!json.write()) std::printf("warning: BENCH_kernels.json not written\n");
 

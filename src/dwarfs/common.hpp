@@ -96,8 +96,18 @@ class SplitMix64 {
   std::uint64_t state_;
 };
 
-/// Items per generate_indexed chunk (one pool iteration).
-inline constexpr std::size_t kGenerateChunk = std::size_t{1} << 16;
+/// Pool tasks for `n` independent items of similar cost: four per pool
+/// participant (the workers and the calling thread), so the work balances,
+/// and never more than `n`.
+[[nodiscard]] inline std::size_t pool_tasks(std::size_t n) {
+  return std::min<std::size_t>(
+      n, 4 * (std::size_t{xcl::ThreadPool::global().size()} + 1));
+}
+
+/// Items per generate_indexed chunk (one pool iteration): small enough
+/// that a few hundred thousand items still split into several chunks per
+/// pool participant.
+inline constexpr std::size_t kGenerateChunk = std::size_t{1} << 12;
 
 /// Runs gen(rng, i) for every i in [0, n), where gen draws exactly
 /// `draws_per_item` values from rng: bit-identical to the serial loop

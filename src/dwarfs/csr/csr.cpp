@@ -1,8 +1,11 @@
 #include "dwarfs/csr/csr.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "xcl/kernel.hpp"
 #include "xcl/thread_pool.hpp"
@@ -18,10 +21,10 @@ CsrMatrix create_csr(std::size_t n, double density, std::uint64_t seed) {
   m.cols = HostVector<std::uint32_t>(n * per_row);
   m.vals = HostVector<float>(n * per_row);
   // Draw order, row by row: distinct columns by rejection, then one value
-  // per column in sorted column order.  The column draws stay serial (a
+  // per column in ascending column order.  The column draws stay serial (a
   // row's draw count depends on its duplicates); a per-column stamp of the
   // last row that drew it makes the duplicate test O(1).  Each row records
-  // where its value draws start, so sorting and values run on the pool.
+  // where its value draws start, so ordering and values run on the pool.
   std::vector<std::size_t> drawn_by(n, 0);  // row + 1 of the last draw
   std::vector<std::uint64_t> value_draw(n);
   std::uint64_t draws = 0;
@@ -39,13 +42,39 @@ CsrMatrix create_csr(std::size_t n, double density, std::uint64_t seed) {
     draws += per_row;
     m.row_ptr[r + 1] = static_cast<std::uint32_t>((r + 1) * per_row);
   }
-  xcl::ThreadPool::global().parallel_for(n, [&](std::size_t r) {
-    const std::size_t lo = r * per_row;
-    std::sort(m.cols.begin() + static_cast<std::ptrdiff_t>(lo),
-              m.cols.begin() + static_cast<std::ptrdiff_t>(lo + per_row));
-    SplitMix64 rng = SplitMix64::at(seed, value_draw[r]);
-    for (std::size_t k = lo; k < lo + per_row; ++k) {
-      m.vals[k] = rng.uniform(-1.0f, 1.0f);
+  // A row's columns are distinct and below n, so they need no comparison
+  // sort: each task marks a row's columns in its n-bit map, and each
+  // nonzero map word in a summary bit, then reads the columns back in
+  // ascending order (clearing both for the next row) and draws the values
+  // in the same pass.  The maps are allocated here, not by workers.
+  const std::size_t words = (n + 63) / 64;
+  const std::size_t summary_words = (words + 63) / 64;
+  const std::size_t tasks = pool_tasks(n);
+  std::vector<std::uint64_t> maps(tasks * (words + summary_words), 0);
+  xcl::ThreadPool::global().parallel_for(tasks, [&](std::size_t t) {
+    std::uint64_t* map = &maps[t * (words + summary_words)];
+    std::uint64_t* summary = map + words;
+    for (std::size_t r = t * n / tasks; r < (t + 1) * n / tasks; ++r) {
+      std::uint32_t* row = &m.cols[r * per_row];
+      for (std::size_t k = 0; k < per_row; ++k) {
+        const std::size_t w = row[k] / 64;
+        map[w] |= std::uint64_t{1} << (row[k] % 64);
+        summary[w / 64] |= std::uint64_t{1} << (w % 64);
+      }
+      SplitMix64 rng = SplitMix64::at(seed, value_draw[r]);
+      float* vals = &m.vals[r * per_row];
+      for (std::size_t s = 0; s < summary_words; ++s) {
+        for (std::uint64_t used = std::exchange(summary[s], 0); used != 0;
+             used &= used - 1) {
+          const std::size_t w = 64 * s + std::countr_zero(used);
+          for (std::uint64_t bits = std::exchange(map[w], 0); bits != 0;
+               bits &= bits - 1) {
+            *row++ = static_cast<std::uint32_t>(64 * w +
+                                                std::countr_zero(bits));
+            *vals++ = rng.uniform(-1.0f, 1.0f);
+          }
+        }
+      }
     }
   });
   return m;

@@ -8,15 +8,17 @@
 #include <string>
 #include <vector>
 
+#include "dwarfs/common.hpp"
 #include "xcl/thread_pool.hpp"
 
 namespace eod::dwarfs {
 
 namespace {
 
-// Renders the leaf one row at a time.  The leaf's shape terms depend only
-// on the column, so they are tabulated once per column and every row reads
-// the same bits.
+// Renders the leaf one row at a time.  Every pixel goes through the same
+// IEEE operations; the terms of them that depend only on the row are
+// computed once per row, and those that depend only on the column once per
+// column, so every row reads the same bits.
 class LeafRows {
  public:
   LeafRows(std::size_t width, std::size_t height)
@@ -24,42 +26,55 @@ class LeafRows {
     const double w = static_cast<double>(width);
     for (std::size_t x = 0; x < width; ++x) {
       const double u = 2.0 * (static_cast<double>(x) + 0.5) / w - 1.0;
-      cols_[x].u = u;
+      Column& c = cols_[x];
+      c.u = u;
       // Lens shape |v| < blade(u) with a serrated margin.
-      cols_[x].blade = 0.62 * std::sqrt(std::max(0.0, 1.0 - u * u)) *
-                       (1.0 + 0.12 * std::sin(9.0 * M_PI * u));
-      cols_[x].vein = std::sin(14.0 * (u + 1.0) * M_PI) * 0.5;
+      c.blade = 0.62 * std::sqrt(std::max(0.0, 1.0 - u * u)) *
+                (1.0 + 0.12 * std::sin(9.0 * M_PI * u));
+      c.blade_eps = c.blade + 1e-9;
+      c.vein = std::sin(14.0 * (u + 1.0) * M_PI) * 0.5;
+      c.noise = noise_bits(x * kNoiseX);
     }
   }
 
   // Writes row y's pixels to out[0, width).
   void render(std::size_t y, std::uint8_t* out) const {
     const double v = 2.0 * (static_cast<double>(y) + 0.5) / h_ - 1.0;
+    const double av = std::abs(v);
+    const double av40 = 40.0 * av;
+    const double taper = 1.0 - av;
+    const bool midrib = av < 0.02;
+    const bool side = av > 0.02;
+    const std::uint32_t row_noise = noise_bits(y * kNoiseY);
     for (std::size_t x = 0; x < cols_.size(); ++x) {
       const Column& c = cols_[x];
       // Background: soft diagonal gradient.
       double val = 190.0 + 30.0 * (c.u + v) * 0.5;
-      if (std::abs(v) < c.blade) {
-        val = 95.0 + 40.0 * std::abs(v) / (c.blade + 1e-9);
-        // Midrib.
-        if (std::abs(v) < 0.02) val = 60.0;
+      if (av < c.blade) {
+        val = midrib ? 60.0 : 95.0 + av40 / c.blade_eps;
         // Lateral veins at regular angles off the midrib.
-        const double vein = std::abs(c.vein * (1.0 - std::abs(v)));
-        if (vein > 0.46 && std::abs(v) > 0.02) val -= 25.0;
+        if (side && std::abs(c.vein * taper) > 0.46) val -= 25.0;
       }
-      // Deterministic fine texture (hash noise).
-      const std::uint64_t n =
-          (x * 0x9e3779b97f4a7c15ull) ^ (y * 0xbf58476d1ce4e5b9ull);
-      val += static_cast<double>((n >> 33) & 0xF) - 7.5;
+      // Deterministic fine texture: bits 33..36 of (x*K1) ^ (y*K2), taken
+      // from each product apart (shift and mask distribute over xor).
+      val += static_cast<double>(c.noise ^ row_noise) - 7.5;
       out[x] = static_cast<std::uint8_t>(std::clamp(val, 0.0, 255.0));
     }
   }
 
  private:
+  static constexpr std::uint64_t kNoiseX = 0x9e3779b97f4a7c15ull;
+  static constexpr std::uint64_t kNoiseY = 0xbf58476d1ce4e5b9ull;
+  static std::uint32_t noise_bits(std::uint64_t product) {
+    return static_cast<std::uint32_t>((product >> 33) & 0xF);
+  }
+
   struct Column {
-    double u;      // normalised coordinate in [-1, 1], leaf axis horizontal
-    double blade;  // half-width of the leaf blade at u
-    double vein;   // lateral-vein phase at u, before the |v| taper
+    double u;             // in [-1, 1] along the (horizontal) leaf axis
+    double blade;         // half-width of the leaf blade at u
+    double blade_eps;     // blade + 1e-9, the shading denominator
+    double vein;          // lateral-vein phase at u, before the |v| taper
+    std::uint32_t noise;  // the column's bits of the texture hash
   };
   std::vector<Column> cols_;
   double h_;
@@ -152,13 +167,11 @@ void render_leaf_resized(std::size_t full_width, std::size_t full_height,
   const std::vector<Box> xs = box_bounds(full_width, width);
   const std::vector<Box> ys = box_bounds(full_height, height);
   const bool identity = width == full_width && height == full_height;
-  xcl::ThreadPool& pool = xcl::ThreadPool::global();
   const std::size_t bands = (height + kBand - 1) / kBand;
-  const std::size_t tasks =
-      std::min<std::size_t>(bands, 4 * (std::size_t{pool.size()} + 1));
+  const std::size_t tasks = pool_tasks(bands);
   xcl::HostVector<std::uint8_t> rows(tasks * full_width);
   xcl::HostVector<double> sums(identity ? 0 : tasks * kBand * width);
-  pool.parallel_for(tasks, [&](std::size_t t) {
+  xcl::ThreadPool::global().parallel_for(tasks, [&](std::size_t t) {
     std::uint8_t* row = &rows[t * full_width];
     for (std::size_t band = t * bands / tasks;
          band < (t + 1) * bands / tasks; ++band) {

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <vector>
 
 #include "xcl/kernel.hpp"
 #include "xcl/simd.hpp"
@@ -144,14 +145,22 @@ void Gem::place_surface_vertices() {
   vx_ = HostVector<float>(v);
   vy_ = HostVector<float>(v);
   vz_ = HostVector<float>(v);
-  float max_r = 0.0f;
-  for (std::size_t i = 0; i < a; ++i) {
-    const float rr = std::sqrt(mol_.x[i] * mol_.x[i] +
-                               mol_.y[i] * mol_.y[i] +
-                               mol_.z[i] * mol_.z[i]) +
-                     mol_.r[i];
-    max_r = std::max(max_r, rr);
-  }
+  // The bounding radius is a max, which no order changes: each pool task
+  // takes the max over its run of atoms, then the runs' maxima combine.
+  const std::size_t tasks = pool_tasks(a);
+  std::vector<float> run_max(tasks, 0.0f);
+  xcl::ThreadPool::global().parallel_for(tasks, [&](std::size_t t) {
+    float m = 0.0f;
+    for (std::size_t i = t * a / tasks; i < (t + 1) * a / tasks; ++i) {
+      const float rr = std::sqrt(mol_.x[i] * mol_.x[i] +
+                                 mol_.y[i] * mol_.y[i] +
+                                 mol_.z[i] * mol_.z[i]) +
+                       mol_.r[i];
+      m = std::max(m, rr);
+    }
+    run_max[t] = m;
+  });
+  const float max_r = *std::max_element(run_max.begin(), run_max.end());
   generate_indexed(v, 0x67656d02ull, 2, [&](SplitMix64& rng, std::size_t i) {
     const double u = 2.0 * rng.uniform() - 1.0;
     const double phi = 2.0 * M_PI * rng.uniform();

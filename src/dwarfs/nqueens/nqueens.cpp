@@ -34,8 +34,8 @@ std::uint64_t count_queens_host(unsigned n) {
 }
 
 std::size_t expand_frontier_host(unsigned n,
-                                 const std::vector<QueenNode>& frontier,
-                                 std::vector<QueenNode>* out) {
+                                 std::span<const QueenNode> frontier,
+                                 HostVector<QueenNode>* out) {
   const std::uint32_t full = (1u << n) - 1;
   std::size_t count = 0;
   for (const QueenNode& f : frontier) {
@@ -53,18 +53,37 @@ std::size_t expand_frontier_host(unsigned n,
   return count;
 }
 
-std::size_t Nqueens::footprint_bytes(ProblemSize) const {
-  // Frontier + child slots (board per node) + per-node counts.  Computed
-  // from the deterministic depth-depth_ frontier of the board.
-  std::vector<QueenNode> frontier{{0, 0, 0}};
-  for (unsigned d = 0; d < depth_; ++d) {
-    std::vector<QueenNode> next;
-    expand_frontier_host(board_, frontier, &next);
-    frontier.swap(next);
+namespace {
+
+// Nodes of the depth-`depth` frontier below `f` on the board whose columns
+// are `full`: the count expand_frontier_host reaches level by level,
+// without the nodes.
+constexpr std::size_t frontier_nodes(std::uint32_t full, unsigned depth,
+                                     QueenNode f) {
+  if (depth == 0) return 1;
+  std::size_t nodes = 0;
+  for (std::uint32_t avail = full & ~(f.cols | f.left_diag | f.right_diag);
+       avail != 0; avail &= avail - 1) {
+    const std::uint32_t bit = avail & (~avail + 1);
+    nodes += frontier_nodes(full, depth - 1,
+                            {f.cols | bit, ((f.left_diag | bit) << 1) & full,
+                             (f.right_diag | bit) >> 1});
   }
-  return frontier.size() * sizeof(QueenNode) +
-         frontier.size() * board_ * sizeof(QueenNode) +
-         frontier.size() * sizeof(std::uint32_t);
+  return nodes;
+}
+
+}  // namespace
+
+std::size_t Nqueens::footprint_bytes(ProblemSize) const {
+  // Frontier + child slots (board per node) + per-node counts.  configure()
+  // builds the frontier (never empty on a valid board); before it, the
+  // preset's frontier is counted at compile time.
+  static constexpr std::size_t kPresetNodes =
+      frontier_nodes((1u << kBoard) - 1, kDepth, {0, 0, 0});
+  const std::size_t nodes =
+      frontier_.empty() ? kPresetNodes : frontier_.size();
+  return nodes * sizeof(QueenNode) + nodes * board_ * sizeof(QueenNode) +
+         nodes * sizeof(std::uint32_t);
 }
 
 void Nqueens::setup(ProblemSize) { configure(kBoard, kDepth); }
@@ -78,12 +97,13 @@ void Nqueens::configure(unsigned board, unsigned depth) {
   depth_ = depth;
   frontier_.assign(1, {0, 0, 0});
   for (unsigned d = 0; d < depth_; ++d) {
-    std::vector<QueenNode> next;
+    HostVector<QueenNode> next;
     expand_frontier_host(board_, frontier_, &next);
     frontier_.swap(next);
   }
-  children_.assign(frontier_.size() * board_, {});
-  child_counts_.assign(frontier_.size(), 0);
+  // Fresh storage reads zero without a write; finish() fills it.
+  children_ = HostVector<QueenNode>(frontier_.size() * board_);
+  child_counts_ = HostVector<std::uint32_t>(frontier_.size());
 }
 
 void Nqueens::bind(xcl::Context& ctx, xcl::Queue& q) {
@@ -144,10 +164,10 @@ void Nqueens::finish() {
 }
 
 Validation Nqueens::validate() {
-  std::vector<QueenNode> want;
+  HostVector<QueenNode> want;
   expand_frontier_host(board_, frontier_, &want);
   // Reassemble the device's compacted children in frontier order.
-  std::vector<QueenNode> got;
+  HostVector<QueenNode> got;
   got.reserve(want.size());
   for (std::size_t i = 0; i < frontier_.size(); ++i) {
     for (std::uint32_t k = 0; k < child_counts_[i]; ++k) {

@@ -13,17 +13,19 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "dwarfs/common.hpp"
 
 namespace eod::dwarfs {
 
-/// One partial placement: occupied-column and diagonal masks.
+/// One partial placement: occupied-column and diagonal masks.  Trivial, so
+/// a fresh HostVector of nodes is the allocator's zero pages, unwritten.
 struct QueenNode {
-  std::uint32_t cols = 0;
-  std::uint32_t left_diag = 0;
-  std::uint32_t right_diag = 0;
+  std::uint32_t cols;
+  std::uint32_t left_diag;
+  std::uint32_t right_diag;
 };
 
 /// Full bitmask DFS count of n-queens solutions (serial reference; used by
@@ -33,8 +35,8 @@ struct QueenNode {
 /// Expands `frontier` by one row on the host (serial reference for kernel
 /// validation); appends children to `out` and returns the child count.
 std::size_t expand_frontier_host(unsigned n,
-                                 const std::vector<QueenNode>& frontier,
-                                 std::vector<QueenNode>* out);
+                                 std::span<const QueenNode> frontier,
+                                 HostVector<QueenNode>* out);
 
 class Nqueens final : public Dwarf {
  public:
@@ -69,9 +71,9 @@ class Nqueens final : public Dwarf {
  private:
   unsigned board_ = kBoard;
   unsigned depth_ = kDepth;
-  std::vector<QueenNode> frontier_;
-  std::vector<QueenNode> children_;        // read back from the device
-  std::vector<std::uint32_t> child_counts_;
+  HostVector<QueenNode> frontier_;
+  HostVector<QueenNode> children_;        // read back from the device
+  HostVector<std::uint32_t> child_counts_;
 
   xcl::Queue* queue_ = nullptr;
   std::optional<xcl::Buffer> frontier_buf_;

@@ -3,9 +3,12 @@
 // reconstruction), generator contracts, and Table 2/3 parameter values.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <complex>
 #include <cstdio>
+#include <utility>
+#include <vector>
 
 #include "dwarfs/crc/crc.hpp"
 #include "dwarfs/csr/csr.hpp"
@@ -86,6 +89,59 @@ TEST(CreateCsr, HonoursDensityAndStructure) {
       EXPECT_LT(m.cols[k], m.n);
       if (k + 1 < m.row_ptr[r + 1]) {
         EXPECT_LT(m.cols[k], m.cols[k + 1]);  // sorted, no duplicates
+      }
+    }
+  }
+}
+
+// The construction create_csr must reproduce, written the plain way: one
+// serial SplitMix64 stream; per row, distinct columns by rejection, a
+// std::sort, then one value per column in sorted order.
+CsrMatrix sorted_csr(std::size_t n, double density, std::uint64_t seed) {
+  const auto per_row = std::max<std::size_t>(
+      1, static_cast<std::size_t>(density * static_cast<double>(n)));
+  CsrMatrix m;
+  m.n = n;
+  m.row_ptr.push_back(0);
+  SplitMix64 rng(seed);
+  std::vector<bool> taken(n);
+  for (std::size_t r = 0; r < n; ++r) {
+    std::vector<std::uint32_t> row;
+    std::fill(taken.begin(), taken.end(), false);
+    while (row.size() < per_row) {
+      const auto c = static_cast<std::uint32_t>(rng.below(n));
+      if (!taken[c]) {
+        taken[c] = true;
+        row.push_back(c);
+      }
+    }
+    std::sort(row.begin(), row.end());
+    for (const std::uint32_t c : row) {
+      m.cols.push_back(c);
+      m.vals.push_back(rng.uniform(-1.0f, 1.0f));
+    }
+    m.row_ptr.push_back(static_cast<std::uint32_t>(m.cols.size()));
+  }
+  return m;
+}
+
+// Dimensions on both sides of a 64-column bitmap word, and the Table 2 tiny
+// and small dimensions, from one column per row to every column.
+TEST(CreateCsr, MatchesTheSortedConstruction) {
+  for (const std::size_t n : {1u, 2u, 63u, 64u, 65u, 736u, 2416u}) {
+    for (const double density : {0.0, 0.005, 0.5, 1.0}) {
+      const CsrMatrix got = create_csr(n, density, 0x637372ull);
+      const CsrMatrix want = sorted_csr(n, density, 0x637372ull);
+      EXPECT_EQ(got.row_ptr, want.row_ptr) << n << ' ' << density;
+      EXPECT_EQ(got.cols, want.cols) << n << ' ' << density;
+      EXPECT_EQ(got.vals, want.vals) << n << ' ' << density;
+      if (density == 1.0) {
+        // per_row == n: every row holds every column, in order.
+        bool full = got.nnz() == n * n;
+        for (std::size_t k = 0; full && k < got.nnz(); ++k) {
+          full = got.cols[k] == k % n;
+        }
+        EXPECT_TRUE(full) << n;
       }
     }
   }
@@ -211,6 +267,51 @@ TEST(Image, LeafGeneratorDeterministicAndStructured) {
   EXPECT_GT(bright, 500);
 }
 
+// The leaf's pixel formula as it stood before its row and column terms
+// were hoisted, copied verbatim (with the column terms computed in place):
+// generate_leaf_image must reproduce it bit for bit.
+std::uint8_t leaf_pixel_reference(std::size_t x, std::size_t y,
+                                  std::size_t width, std::size_t height) {
+  const double w = static_cast<double>(width);
+  const double h_ = static_cast<double>(height);
+  const double u = 2.0 * (static_cast<double>(x) + 0.5) / w - 1.0;
+  const double blade = 0.62 * std::sqrt(std::max(0.0, 1.0 - u * u)) *
+                       (1.0 + 0.12 * std::sin(9.0 * M_PI * u));
+  const double vein_phase = std::sin(14.0 * (u + 1.0) * M_PI) * 0.5;
+  const double v = 2.0 * (static_cast<double>(y) + 0.5) / h_ - 1.0;
+  // Background: soft diagonal gradient.
+  double val = 190.0 + 30.0 * (u + v) * 0.5;
+  if (std::abs(v) < blade) {
+    val = 95.0 + 40.0 * std::abs(v) / (blade + 1e-9);
+    // Midrib.
+    if (std::abs(v) < 0.02) val = 60.0;
+    // Lateral veins at regular angles off the midrib.
+    const double vein = std::abs(vein_phase * (1.0 - std::abs(v)));
+    if (vein > 0.46 && std::abs(v) > 0.02) val -= 25.0;
+  }
+  // Deterministic fine texture (hash noise).
+  const std::uint64_t n =
+      (x * 0x9e3779b97f4a7c15ull) ^ (y * 0xbf58476d1ce4e5b9ull);
+  val += static_cast<double>((n >> 33) & 0xF) - 7.5;
+  return static_cast<std::uint8_t>(std::clamp(val, 0.0, 255.0));
+}
+
+// An odd raster, the smallest one, and full-width rows of the photo size.
+TEST(Image, LeafMatchesThePerPixelFormula) {
+  for (const auto& [w, h] : {std::pair<std::size_t, std::size_t>{97, 61},
+                            {2, 2},
+                            {3648, 8}}) {
+    const GrayImage img = generate_leaf_image(w, h);
+    std::size_t mismatches = 0;
+    for (std::size_t y = 0; y < h; ++y) {
+      for (std::size_t x = 0; x < w; ++x) {
+        mismatches += img.at(x, y) != leaf_pixel_reference(x, y, w, h);
+      }
+    }
+    EXPECT_EQ(mismatches, 0u) << w << 'x' << h;
+  }
+}
+
 TEST(Image, BoxResizePreservesMeanApproximately) {
   const GrayImage src = generate_leaf_image(256, 192);
   const GrayImage dst = box_resize(src, 64, 48);
@@ -274,17 +375,43 @@ INSTANTIATE_TEST_SUITE_P(
                       std::pair<unsigned, std::uint64_t>{12, 14200}),
     [](const auto& ti) { return "n" + std::to_string(ti.param.first); });
 
+HostVector<QueenNode> rebuilt_frontier(unsigned board, unsigned depth) {
+  HostVector<QueenNode> frontier{{0, 0, 0}};
+  for (unsigned d = 0; d < depth; ++d) {
+    HostVector<QueenNode> next;
+    expand_frontier_host(board, frontier, &next);
+    frontier.swap(next);
+  }
+  return frontier;
+}
+
 TEST(Queens, FrontierExpansionConservesSearchSpace) {
   // Expanding the root frontier level by level must agree with DFS counts
   // when the depth reaches n.
   constexpr unsigned kN = 6;
-  std::vector<QueenNode> frontier{{0, 0, 0}};
-  for (unsigned d = 0; d < kN; ++d) {
-    std::vector<QueenNode> next;
-    expand_frontier_host(kN, frontier, &next);
-    frontier.swap(next);
+  EXPECT_EQ(rebuilt_frontier(kN, kN).size(), count_queens_host(kN));
+}
+
+// footprint_bytes answers from the frontier configure() built (before any
+// configure(), from the preset's): it must equal what a fresh rebuild
+// sizes, also after the same dwarf is reconfigured.
+TEST(Queens, FootprintMatchesARebuiltFrontier) {
+  const auto rebuilt_bytes = [](unsigned board, unsigned depth) {
+    return rebuilt_frontier(board, depth).size() *
+           ((board + 1) * sizeof(QueenNode) + sizeof(std::uint32_t));
+  };
+  Nqueens nq;
+  EXPECT_EQ(nq.footprint_bytes(ProblemSize::kTiny),
+            rebuilt_bytes(Nqueens::kBoard, Nqueens::kDepth));
+  for (const auto& [board, depth] : {std::pair<unsigned, unsigned>{4, 1},
+                                    {8, 3},
+                                    {12, 6},
+                                    {18, 4}}) {
+    nq.configure(board, depth);
+    EXPECT_EQ(nq.footprint_bytes(ProblemSize::kTiny),
+              rebuilt_bytes(board, depth))
+        << board << ' ' << depth;
   }
-  EXPECT_EQ(frontier.size(), count_queens_host(kN));
 }
 
 // ------------------------------- hmm -----------------------------------

@@ -239,8 +239,8 @@ TEST_P(AllDwarfs, ValidationErrorAndSignatureMatchPins) {
 
 // ---- multi-chunk input pins ----
 //
-// The pins above stop at tiny and small, whose inputs fit in one
-// generate_indexed chunk.  These cover medium and large, which span many
+// The pins above stop at tiny and small, whose inputs span at most a few
+// generate_indexed chunks.  These cover medium and large, which span many
 // chunks, so a wrong chunk offset or a reordered draw moves them.  Each is
 // FNV-1a over every generated byte (or the output, for the four dwarfs
 // pinned by one functional run), recorded before input synthesis went

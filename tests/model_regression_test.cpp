@@ -41,6 +41,13 @@ struct Band {
   double hi_ms;
 };
 
+// Print a band by its anchor: gtest's default byte dump would put the bench
+// and device pointers -- addresses that change with every build and
+// process under ASLR -- into the listed test names.
+void PrintTo(const Band& b, std::ostream* os) {
+  *os << b.bench << ' ' << to_string(b.size) << " on " << b.device;
+}
+
 class RegressionBands : public ::testing::TestWithParam<Band> {};
 
 TEST_P(RegressionBands, ModeledTimeWithinBand) {
