@@ -1,10 +1,9 @@
 // google-benchmark microbenches of the trace-replay engine (DESIGN.md §8):
-// accesses/second for the batched raw-page path vs the line-coalesced path,
-// on a DRAM-resident streaming trace (64 MiB sweep: misses every level of
-// the Skylake hierarchy), plus the single-generation multi-hierarchy
-// fan-out across the whole testbed, and a page-strided trace whose every
-// access changes page (the data-TLB path the streaming sweep touches once
-// per 64 lines).
+// accesses/second for the batched raw-page path vs the line-coalesced
+// replay forest with one spec, on a DRAM-resident streaming trace (64 MiB
+// sweep: misses every level of the Skylake hierarchy), plus the forest over
+// the whole testbed, and a page-strided trace whose every access changes
+// page (the data-TLB path the streaming sweep touches once per 64 lines).
 //
 // Items/s in the report IS accesses/s.
 #include <benchmark/benchmark.h>
@@ -65,42 +64,29 @@ void BM_BatchedRawReplay(benchmark::State& state) {
 }
 BENCHMARK(BM_BatchedRawReplay)->Unit(benchmark::kMillisecond);
 
-struct CoalescedHierarchySink final : CoalescedSink {
-  CacheHierarchy* h = nullptr;
-  void consume(const CoalescedAccess* page, std::size_t n) override {
-    h->consume_coalesced(page, n);
-  }
-};
-
+// One spec through replay_hierarchies: the single-hierarchy chain of the
+// replay forest (cold + warm pass; items/s counts both passes).  The
+// replays run on pool workers too, so rates are per wall-clock second.
 void BM_CoalescedReplay(benchmark::State& state) {
   for (auto _ : state) {
-    CacheHierarchy h(skylake());
-    CoalescedHierarchySink sink;
-    sink.h = &h;
-    TraceWriter writer(sink);
-    generate(writer);
-    writer.finish();
-    benchmark::DoNotOptimize(h.counters());
+    const auto entries = replay_hierarchies(generate, {&skylake()});
+    benchmark::DoNotOptimize(entries.front().warm);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(kAccessesPerSweep));
+                          static_cast<std::int64_t>(2 * kAccessesPerSweep));
 }
-BENCHMARK(BM_CoalescedReplay)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_CoalescedReplay)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 void BM_PageStridedCoalescedReplay(benchmark::State& state) {
   for (auto _ : state) {
-    CacheHierarchy h(skylake());
-    CoalescedHierarchySink sink;
-    sink.h = &h;
-    TraceWriter writer(sink);
-    generate_page_strided(writer);
-    writer.finish();
-    benchmark::DoNotOptimize(h.counters());
+    const auto entries =
+        replay_hierarchies(generate_page_strided, {&skylake()});
+    benchmark::DoNotOptimize(entries.front().warm);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(kStridedAccesses));
+                          static_cast<std::int64_t>(2 * kStridedAccesses));
 }
-BENCHMARK(BM_PageStridedCoalescedReplay)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_PageStridedCoalescedReplay)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 void BM_FanOutAllHierarchies(benchmark::State& state) {
   // One generation feeding the whole 15-device testbed (cold + warm pass
@@ -115,7 +101,7 @@ void BM_FanOutAllHierarchies(benchmark::State& state) {
       static_cast<std::int64_t>(state.iterations()) *
       static_cast<std::int64_t>(kAccessesPerSweep * specs.size() * 2));
 }
-BENCHMARK(BM_FanOutAllHierarchies)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_FanOutAllHierarchies)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 }  // namespace
 

@@ -7,6 +7,7 @@
 #include <utility>
 #include <vector>
 
+#include "xcl/host_memory.hpp"
 #include "xcl/kernel.hpp"
 #include "xcl/thread_pool.hpp"
 
@@ -25,6 +26,21 @@ CsrMatrix create_csr(std::size_t n, double density, std::uint64_t seed) {
   // row's draw count depends on its duplicates); a per-column stamp of the
   // last row that drew it makes the duplicate test O(1).  Each row records
   // where its value draws start, so ordering and values run on the pool.
+  // The draws are the first writes to m.cols, so its pages are faulted in
+  // on the pool first, one task per huge page: the serial loop then takes
+  // none of those faults.
+  constexpr std::size_t kPageCols = 4096 / sizeof(std::uint32_t);
+  constexpr std::size_t kHugePageCols =
+      xcl::kHugePageBytes / sizeof(std::uint32_t);
+  xcl::ThreadPool::global().parallel_for(
+      (m.cols.size() + kHugePageCols - 1) / kHugePageCols,
+      [&](std::size_t h) {
+        const std::size_t end =
+            std::min(m.cols.size(), (h + 1) * kHugePageCols);
+        for (std::size_t i = h * kHugePageCols; i < end; i += kPageCols) {
+          m.cols[i] = 0;
+        }
+      });
   std::vector<std::size_t> drawn_by(n, 0);  // row + 1 of the last draw
   std::vector<std::uint64_t> value_draw(n);
   std::uint64_t draws = 0;

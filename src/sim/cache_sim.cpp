@@ -141,98 +141,6 @@ void CacheHierarchy::consume(const MemAccess* page, std::size_t n) {
   }
 }
 
-void CacheHierarchy::consume_coalesced(const CoalescedAccess* page,
-                                       std::size_t n) {
-  // Sequential fast path: one fused walk updates caches and TLB together,
-  // with every accumulator in a local -- the compiler cannot prove the
-  // member counters do not alias `page`, so member updates inside the loop
-  // would be reloaded on every record.
-  const unsigned shift = l1_.line_shift();
-  const unsigned line_to_page = page_shift_ - shift;
-  // Repeat fast-credit precondition: after one expansion of the span, every
-  // span line is still L1-resident (consecutive lines put at most
-  // ceil(span/sets) lines in a set, and older non-span lines are always the
-  // LRU victims while that stays <= associativity), and every span page is
-  // still TLB-resident while the span has at most tlb_capacity pages.
-  // Spans emitted by TraceWriter are <= 2 lines; these guards keep the path
-  // exact for arbitrary hand-built records too.
-  const std::uint64_t safe_span = l1_.capacity_lines();
-  const std::uint64_t tlb_capacity = tlb_.capacity();
-  CacheLevel* const l3 = l3_.has_value() ? &*l3_ : nullptr;
-  std::uint64_t total = 0, l1h = 0, l1m = 0, l2h = 0, l2m = 0, l3h = 0,
-                l3m = 0, tlbm = 0, l3t = 0;
-  std::uint64_t last_line = ~0ull, last_page = ~0ull;
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint64_t address = page[i].address;
-    const std::uint32_t bytes = page[i].bytes;
-    const std::uint32_t repeats = page[i].repeats;
-    const std::uint64_t first = address >> shift;
-    const std::uint64_t last =
-        (address + (bytes == 0 ? 0 : bytes - 1)) >> shift;
-    const std::uint64_t span = last - first + 1;
-    const std::uint64_t span_pages =
-        (last >> line_to_page) - (first >> line_to_page) + 1;
-    // Expanding either half expands both -- the expansion simulates exactly
-    // the guaranteed hits the credit would have claimed.
-    const std::uint64_t passes =
-        (repeats != 0 && (span > safe_span || span_pages > tlb_capacity))
-            ? std::uint64_t{repeats} + 1
-            : 1;
-    for (std::uint64_t p = 0; p < passes; ++p) {
-      for (std::uint64_t l = first; l <= last; ++l) {
-        ++total;
-        if (l == last_line) {
-          // Re-touch of the MRU line: guaranteed L1 and TLB hits, and the
-          // skipped recency refresh cannot change any relative LRU order.
-          ++l1h;
-          continue;
-        }
-        last_line = l;
-        const std::uint64_t page_no = l >> line_to_page;
-        if (page_no != last_page) {
-          last_page = page_no;
-          if (!tlb_.touch(page_no)) ++tlbm;
-        }
-        if (l1_.touch_line(l)) {
-          ++l1h;
-          continue;
-        }
-        ++l1m;
-        const std::uint64_t a = l << shift;
-        if (l2_.touch_line(l2_.line_index(a))) {
-          ++l2h;
-          continue;
-        }
-        ++l2m;
-        if (l3 != nullptr) {
-          if (l3->touch_line(l3->line_index(a))) {
-            ++l3h;
-            continue;
-          }
-          ++l3m;
-        }
-        ++l3t;
-      }
-    }
-    if (passes == 1 && repeats != 0) {
-      // Every repeat re-touches the span's lines while they are still the
-      // most recently used lines of their sets, on pages still in the TLB:
-      // guaranteed L1 and TLB hits.
-      const std::uint64_t extra = std::uint64_t{repeats} * span;
-      total += extra;
-      l1h += extra;
-    }
-  }
-  counters_.total_accesses += total;
-  counters_.l1_dcm += l1m;
-  counters_.l2_dcm += l2m;
-  counters_.l3_tcm += l3t;
-  counters_.tlb_dm += tlbm;
-  l1_.credit(l1h, l1m);
-  l2_.credit(l2h, l2m);
-  if (l3 != nullptr) l3->credit(l3h, l3m);
-}
-
 void CacheHierarchy::reset() {
   l1_.reset_counters();
   l2_.reset_counters();

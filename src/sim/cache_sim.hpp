@@ -6,13 +6,11 @@
 // verification capability for the simulated testbed: replay a benchmark's
 // memory trace through a device's hierarchy and read the miss counters.
 //
-// Replay interfaces, fastest first:
-//   * consume_coalesced(): pages of line-coalesced records (see
-//     sim/trace_replay.hpp) -- run-length repeats of a cache line are
-//     counted as guaranteed hits without a lookup.
-//   * consume()/replay()/access(): batched and per-access raw replay.
-// All paths produce bit-identical HierarchyCounters (enforced by
-// tests/cache_replay_test.cpp against the per-access reference).
+// CacheHierarchy replays raw accesses one at a time (access(), consume(),
+// replay()): the per-access reference.  Pages of line-coalesced records
+// replay through sim::ReplayForest (sim/trace_replay.hpp), which walks each
+// distinct level of many hierarchies once; its counters are bit-identical
+// to this reference (enforced by tests/cache_replay_test.cpp).
 #pragma once
 
 #include <cstdint>
@@ -66,25 +64,22 @@ class CacheLevel {
   /// ways in recency order, most recent first: a hit moves its way to the
   /// front, a miss drops the last way (an invalid one while the set is not
   /// full) and installs the line at the front.  Returns true on hit.
+  /// A nonzero `kAssoc` must equal associativity(): the way walks then run
+  /// over a compile-time count.
+  template <unsigned kAssoc = 0>
   bool touch_line(std::uint64_t line) noexcept {
+    const unsigned assoc = kAssoc != 0 ? kAssoc : assoc_;
     const std::size_t set =
         sets_pow2_ ? static_cast<std::size_t>(line & set_mask_)
                    : static_cast<std::size_t>(line % sets_);
-    std::uint64_t* tags = &tags_[set * assoc_];
+    std::uint64_t* tags = &tags_[set * assoc];
     unsigned w = 0;
-    while (w < assoc_ && tags[w] != line) ++w;
-    const bool hit = w < assoc_;
-    if (!hit) w = assoc_ - 1;
+    while (w < assoc && tags[w] != line) ++w;
+    const bool hit = w < assoc;
+    if (!hit) w = assoc - 1;
     for (; w > 0; --w) tags[w] = tags[w - 1];
     tags[0] = line;
     return hit;
-  }
-
-  /// Folds externally-counted hits/misses (a fused replay's local
-  /// accumulators, repeat credits included) into this level's counters.
-  void credit(std::uint64_t hits, std::uint64_t misses) noexcept {
-    hits_ += hits;
-    misses_ += misses;
   }
 
   [[nodiscard]] std::uint64_t line_index(std::uint64_t address) const
@@ -102,6 +97,7 @@ class CacheLevel {
     return a == 0 ? 0.0 : static_cast<double>(misses_) / a;
   }
   [[nodiscard]] unsigned line_bytes() const noexcept { return line_bytes_; }
+  [[nodiscard]] unsigned associativity() const noexcept { return assoc_; }
   [[nodiscard]] unsigned line_shift() const noexcept { return line_shift_; }
   [[nodiscard]] std::size_t capacity_lines() const noexcept {
     return sets_ * assoc_;
@@ -148,10 +144,6 @@ class LruTlb {
     }
     install(page);
     return false;
-  }
-
-  [[nodiscard]] std::size_t capacity() const noexcept {
-    return entries_.size();
   }
 
  private:
@@ -221,8 +213,6 @@ class CacheHierarchy {
 
   /// Batched raw replay: one page of accesses per call.
   void consume(const MemAccess* page, std::size_t n);
-  /// Batched line-coalesced replay (repeats credited as guaranteed hits).
-  void consume_coalesced(const CoalescedAccess* page, std::size_t n);
 
   [[nodiscard]] const HierarchyCounters& counters() const noexcept {
     return counters_;

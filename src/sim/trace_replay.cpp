@@ -1,6 +1,6 @@
 #include "sim/trace_replay.hpp"
 
-#include <memory>
+#include <type_traits>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -10,11 +10,16 @@ namespace eod::sim {
 
 namespace {
 
-// Replay-engine instruments (DESIGN.md §11): page-buffer fan-outs and the
+// Replay-engine instruments (DESIGN.md §11): replayed pages and the
 // coalesced entries they carried, accumulated process-wide.
 obs::Counter& g_pages_coalesced = obs::counter("replay.pages_coalesced");
 obs::Counter& g_coalesced_entries = obs::counter("replay.coalesced_entries");
 obs::Counter& g_replay_passes = obs::counter("replay.passes");
+// Replay-forest units per level, added once per replay_hierarchies call.
+obs::Counter& g_units_tlb = obs::counter("replay.units.tlb");
+obs::Counter& g_units_l1 = obs::counter("replay.units.l1");
+obs::Counter& g_units_l2 = obs::counter("replay.units.l2");
+obs::Counter& g_units_l3 = obs::counter("replay.units.l3");
 
 }  // namespace
 
@@ -106,36 +111,254 @@ TraceKey hash_trace(const TraceGenerator& gen) {
 
 namespace {
 
-/// Coalesced sink that runs every page through every hierarchy's fused
-/// walk on the pool before letting the writer reuse its buffer.
-class FanOutSink final : public CoalescedSink {
- public:
-  FanOutSink(std::vector<std::unique_ptr<CacheHierarchy>>& hierarchies,
-             xcl::ThreadPool& pool)
-      : hierarchies_(hierarchies), pool_(pool), body_([this](std::size_t h) {
-          hierarchies_[h]->consume_coalesced(page_, n_);
-        }) {}
+// The data TLB every spec replays with: CacheHierarchy's and
+// hierarchy_geometry_hash's defaults.
+constexpr unsigned kTlbEntries = 64;
+constexpr unsigned kPageShift = 12;  // 4 KiB pages
 
-  void consume(const CoalescedAccess* page, std::size_t n) override {
-    if (n == 0) return;
-    g_pages_coalesced.add(1);
-    g_coalesced_entries.add(static_cast<std::int64_t>(n));
-    obs::TraceSpan span("replay:page", "replay", "entries",
-                        static_cast<double>(n));
-    page_ = page;
-    n_ = n;
-    pool_.parallel_for(hierarchies_.size(), body_);
+// Miss addresses a cache unit collects before its children replay them:
+// small enough to stay cache-resident next to the level's own tags.
+constexpr std::size_t kMissBatch = 1024;
+
+std::uint64_t last_byte(const CoalescedAccess& r) {
+  return r.address + (r.bytes == 0 ? 0 : r.bytes - 1);
+}
+
+bool same_geometry(const CacheLevelSpec& a, const CacheLevelSpec& b) {
+  return a.size_bytes == b.size_bytes && a.line_bytes == b.line_bytes &&
+         a.associativity == b.associativity;
+}
+
+template <class Unit>
+std::size_t unit_for(std::vector<Unit>& units, const CacheLevelSpec& spec) {
+  for (std::size_t i = 0; i < units.size(); ++i) {
+    if (same_geometry(units[i].geometry, spec)) return i;
   }
+  units.emplace_back(spec);
+  return units.size() - 1;
+}
 
- private:
-  std::vector<std::unique_ptr<CacheHierarchy>>& hierarchies_;
-  xcl::ThreadPool& pool_;
-  const CoalescedAccess* page_ = nullptr;
-  std::size_t n_ = 0;
-  std::function<void(std::size_t)> body_;
-};
+// Calls f(std::integral_constant<unsigned, A>) with A = assoc for the
+// testbed's associativities and A = 0 (a runtime count) for any other.
+template <class F>
+void with_ways(unsigned assoc, const F& f) {
+  switch (assoc) {
+    case 4:
+      return f(std::integral_constant<unsigned, 4>{});
+    case 8:
+      return f(std::integral_constant<unsigned, 8>{});
+    case 16:
+      return f(std::integral_constant<unsigned, 16>{});
+    default:
+      return f(std::integral_constant<unsigned, 0>{});
+  }
+}
 
 }  // namespace
+
+ReplayForest::Tlb::Tlb() : tlb(kTlbEntries) {}
+
+void ReplayForest::Tlb::walk(const CoalescedAccess* page, std::size_t n) {
+  // A two-page filter: re-touches of the two most recent pages are hits
+  // (kTlbEntries >= 2) and are not looked up.  A re-touch of `second` swaps
+  // the two in the true recency order but not in `tlb`'s; `flipped`
+  // records that, and the next other page first re-touches `mru` so that
+  // `tlb` holds the true order again before its lookup.  Each such
+  // re-touch repays an earlier skipped one, so the filter never adds a
+  // lookup.
+  static_assert(kTlbEntries >= 2);
+  std::uint64_t miss = 0, mru = mru_page, second = second_page;
+  bool flip = flipped;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint64_t first = page[i].address >> kPageShift;
+    const std::uint64_t last = last_byte(page[i]) >> kPageShift;
+    // Repeats of a span of at most kTlbEntries pages re-touch pages that
+    // are all still resident, in the order that left them most recent:
+    // guaranteed hits that leave the recency order as it was.  A wider
+    // span is expanded into real passes.
+    const std::uint64_t passes =
+        last - first + 1 > kTlbEntries ? std::uint64_t{page[i].repeats} + 1
+                                       : 1;
+    for (std::uint64_t p = 0; p < passes; ++p) {
+      for (std::uint64_t pg = first; pg <= last; ++pg) {
+        if (pg == mru) continue;
+        if (pg == second) {
+          second = mru;
+          mru = pg;
+          flip = !flip;
+          continue;
+        }
+        if (flip) {
+          tlb.touch(mru);
+          flip = false;
+        }
+        second = mru;
+        mru = pg;
+        if (!tlb.touch(pg)) ++miss;
+      }
+    }
+  }
+  misses += miss;
+  mru_page = mru;
+  second_page = second;
+  flipped = flip;
+}
+
+ReplayForest::Cache::Cache(const CacheLevelSpec& spec)
+    : geometry(spec),
+      level(spec.size_bytes, spec.line_bytes, spec.associativity) {}
+
+void ReplayForest::Cache::walk(const CoalescedAccess* page, std::size_t n) {
+  with_ways(level.associativity(),
+            [&](auto ways) { walk_ways<decltype(ways)::value>(page, n); });
+}
+
+void ReplayForest::Cache::consume(const std::uint64_t* addresses,
+                                  std::size_t n) {
+  with_ways(level.associativity(), [&](auto ways) {
+    consume_ways<decltype(ways)::value>(addresses, n);
+  });
+}
+
+template <unsigned kAssoc>
+void ReplayForest::Cache::walk_ways(const CoalescedAccess* page,
+                                    std::size_t n) {
+  // Every accumulator is a local: the compiler cannot prove the member
+  // counters do not alias `page`, so member updates inside the loop would
+  // be reloaded on every record.
+  const unsigned shift = level.line_shift();
+  // Repeat credit precondition: after one pass over the span every span
+  // line is still resident (consecutive lines put at most ceil(span/sets)
+  // lines in a set, and older lines are the LRU victims while that stays
+  // <= associativity), and each is the most recent line of its set, so the
+  // repeats are guaranteed hits that leave the recency order as it was.
+  // Spans emitted by TraceWriter are <= 2 lines; a longer span is expanded
+  // into real passes.
+  const std::uint64_t safe_span = level.capacity_lines();
+  std::uint64_t* const out = missed.data();
+  std::uint64_t total = 0, miss = 0, mru = last_line;
+  std::size_t k = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint64_t first = page[i].address >> shift;
+    const std::uint64_t last = last_byte(page[i]) >> shift;
+    const std::uint64_t span = last - first + 1;
+    const std::uint64_t runs = std::uint64_t{page[i].repeats} + 1;
+    total += runs * span;
+    const std::uint64_t passes = span > safe_span ? runs : 1;
+    for (std::uint64_t p = 0; p < passes; ++p) {
+      for (std::uint64_t l = first; l <= last; ++l) {
+        // Re-touch of the MRU line: a guaranteed hit, and the skipped
+        // recency refresh cannot change any relative LRU order.
+        if (l == mru) continue;
+        mru = l;
+        if (level.touch_line<kAssoc>(l)) continue;
+        ++miss;
+        out[k++] = l << shift;
+        if (k == kMissBatch) {
+          hand_down(k);
+          k = 0;
+        }
+      }
+    }
+  }
+  hand_down(k);
+  accesses += total;
+  misses += miss;
+  last_line = mru;
+}
+
+template <unsigned kAssoc>
+void ReplayForest::Cache::consume_ways(const std::uint64_t* addresses,
+                                       std::size_t n) {
+  const unsigned shift = level.line_shift();
+  std::uint64_t* const out = missed.empty() ? nullptr : missed.data();
+  std::uint64_t miss = 0;
+  std::size_t k = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (level.touch_line<kAssoc>(addresses[i] >> shift)) continue;
+    ++miss;
+    if (out != nullptr) out[k++] = addresses[i];
+  }
+  misses += miss;
+  hand_down(k);
+}
+
+void ReplayForest::Cache::hand_down(std::size_t n) {
+  if (n == 0) return;
+  for (Cache& child : children) child.consume(missed.data(), n);
+}
+
+ReplayForest::ReplayForest(const std::vector<const DeviceSpec*>& specs,
+                           xcl::ThreadPool& pool)
+    : pool_(pool), body_([this](std::size_t t) {
+        if (t == 0) {
+          tlb_.walk(page_, n_);
+        } else {
+          l1s_[t - 1].walk(page_, n_);
+        }
+      }) {
+  for (const DeviceSpec* spec : specs) {
+    Path path;
+    path.l1 = unit_for(l1s_, spec->l1);
+    Cache& l1 = l1s_[path.l1];
+    l1.missed.resize(kMissBatch);
+    path.l2 = unit_for(l1.children, spec->l2);
+    if (spec->l3.size_bytes != 0) {
+      Cache& l2 = l1.children[path.l2];
+      l2.missed.resize(kMissBatch);
+      path.l3 = unit_for(l2.children, spec->l3);
+      path.has_l3 = true;
+    }
+    paths_.push_back(path);
+  }
+}
+
+void ReplayForest::consume(const CoalescedAccess* page, std::size_t n) {
+  if (n == 0) return;
+  g_pages_coalesced.add(1);
+  g_coalesced_entries.add(static_cast<std::int64_t>(n));
+  obs::TraceSpan span("replay:page", "replay", "entries",
+                      static_cast<double>(n));
+  page_ = page;
+  n_ = n;
+  pool_.parallel_for(1 + l1s_.size(), body_);
+}
+
+HierarchyCounters ReplayForest::counters(std::size_t spec) const {
+  const Path& path = paths_.at(spec);
+  const Cache& l1 = l1s_[path.l1];
+  const Cache& l2 = l1.children[path.l2];
+  HierarchyCounters c;
+  c.total_accesses = l1.accesses;
+  c.l1_dcm = l1.misses;
+  c.l2_dcm = l2.misses;
+  // No L3: every L2 miss goes to DRAM.
+  c.l3_tcm = path.has_l3 ? l2.children[path.l3].misses : l2.misses;
+  c.tlb_dm = tlb_.misses;
+  return c;
+}
+
+void ReplayForest::reset_counters() noexcept {
+  tlb_.misses = 0;
+  for (Cache& l1 : l1s_) {
+    l1.accesses = l1.misses = 0;
+    for (Cache& l2 : l1.children) {
+      l2.misses = 0;
+      for (Cache& l3 : l2.children) l3.misses = 0;
+    }
+  }
+}
+
+ReplayForest::Shape ReplayForest::shape() const noexcept {
+  Shape s;
+  s.tlb = 1;
+  s.l1 = l1s_.size();
+  for (const Cache& l1 : l1s_) {
+    s.l2 += l1.children.size();
+    for (const Cache& l2 : l1.children) s.l3 += l2.children.size();
+  }
+  return s;
+}
 
 std::vector<ReplayMemoEntry> replay_hierarchies(
     const TraceGenerator& gen, const std::vector<const DeviceSpec*>& specs,
@@ -143,27 +366,25 @@ std::vector<ReplayMemoEntry> replay_hierarchies(
   std::vector<ReplayMemoEntry> out(specs.size());
   if (specs.empty()) return out;
 
-  std::vector<std::unique_ptr<CacheHierarchy>> hierarchies;
-  hierarchies.reserve(specs.size());
-  for (const DeviceSpec* spec : specs) {
-    hierarchies.push_back(std::make_unique<CacheHierarchy>(*spec));
-  }
-
+  ReplayForest forest(specs, pool);
+  const ReplayForest::Shape shape = forest.shape();
+  g_units_tlb.add(shape.tlb);
+  g_units_l1.add(shape.l1);
+  g_units_l2.add(shape.l2);
+  g_units_l3.add(shape.l3);
+  const double units =
+      static_cast<double>(shape.tlb + shape.l1 + shape.l2 + shape.l3);
   std::uint64_t accesses = 0;
   for (int pass = 0; pass < 2; ++pass) {
     g_replay_passes.add(1);
     obs::TraceSpan pass_span(pass == 0 ? "replay:cold" : "replay:warm",
-                             "replay", "hierarchies",
-                             static_cast<double>(hierarchies.size()));
-    if (pass == 1) {
-      for (auto& hier : hierarchies) hier->reset();
-    }
-    FanOutSink sink(hierarchies, pool);
-    TraceWriter writer(sink);
+                             "replay", "units", units);
+    if (pass == 1) forest.reset_counters();
+    TraceWriter writer(forest);
     gen(writer);
     writer.finish();
-    for (std::size_t h = 0; h < hierarchies.size(); ++h) {
-      (pass == 0 ? out[h].cold : out[h].warm) = hierarchies[h]->counters();
+    for (std::size_t h = 0; h < specs.size(); ++h) {
+      (pass == 0 ? out[h].cold : out[h].warm) = forest.counters(h);
     }
     accesses = writer.accesses();
   }

@@ -13,10 +13,10 @@
 //     count.  64 divides every testbed line size, and span equality at 64B
 //     implies span equality at any multiple, so one recorded stream replays
 //     bit-identically on 64B and 128B line hierarchies alike.
-//   * replay_hierarchies() generates the trace once and fans each page out
-//     to every device hierarchy in parallel on the work-stealing
-//     xcl::ThreadPool; each hierarchy is one fused
-//     CacheHierarchy::consume_coalesced walk.
+//   * replay_hierarchies() generates the trace once and replays each page
+//     through a ReplayForest: every distinct cache level of the requested
+//     hierarchies is walked once, the TLB and each L1 subtree in parallel
+//     on the work-stealing xcl::ThreadPool.
 //
 // Exactness of every path against the per-access reference replay is
 // enforced by tests/cache_replay_test.cpp.
@@ -190,11 +190,92 @@ struct ReplayMemoEntry {
   std::uint64_t accesses = 0;
 };
 
+/// The levels of a set of hierarchies as a replay forest (DESIGN.md §8):
+/// one data TLB unit, one L1 unit per distinct L1 geometry, under each L1
+/// unit one L2 unit per distinct L2 geometry, and under each L2 unit one L3
+/// unit per distinct L3 geometry.  A level allocates on a miss and nothing
+/// flows back up (no write-backs, no back-invalidation), so a level's state
+/// depends only on its own input stream: hierarchies that share a geometry
+/// prefix share its units.  Each L1 unit walks the coalesced records at its
+/// own line size and hands its miss addresses down a sub-batch at a time;
+/// each L2 unit does the same for its L3 units.  A page runs the TLB and
+/// every L1 subtree as tasks on the pool.  Every spec replays with the
+/// default 64-entry, 4 KiB-page TLB of CacheHierarchy.
+class ReplayForest final : public CoalescedSink {
+ public:
+  ReplayForest(const std::vector<const DeviceSpec*>& specs,
+               xcl::ThreadPool& pool);
+  ReplayForest(const ReplayForest&) = delete;
+  ReplayForest& operator=(const ReplayForest&) = delete;
+
+  void consume(const CoalescedAccess* page, std::size_t n) override;
+
+  /// Counters of spec `spec` (an index into the constructor's specs),
+  /// read off its path through the forest.
+  [[nodiscard]] HierarchyCounters counters(std::size_t spec) const;
+  /// Zeroes every unit's counters; cache and TLB state survive.
+  void reset_counters() noexcept;
+
+  /// Units per level.
+  struct Shape {
+    std::size_t tlb = 0, l1 = 0, l2 = 0, l3 = 0;
+  };
+  [[nodiscard]] Shape shape() const noexcept;
+
+ private:
+  struct Tlb {
+    Tlb();
+    void walk(const CoalescedAccess* page, std::size_t n);
+
+    LruTlb tlb;
+    std::uint64_t misses = 0;
+    // The two most recent pages, kept across pages and passes, and whether
+    // `tlb` holds them in the opposite order.
+    std::uint64_t mru_page = ~0ull;
+    std::uint64_t second_page = ~0ull;
+    bool flipped = false;
+  };
+  struct Cache {
+    explicit Cache(const CacheLevelSpec& spec);
+    /// L1 units: replays records, counting every access they stand for.
+    void walk(const CoalescedAccess* page, std::size_t n);
+    /// L2 and L3 units: replays the parent's miss addresses.
+    void consume(const std::uint64_t* addresses, std::size_t n);
+    // walk() and consume() at the level's associativity, 0 = any.
+    template <unsigned kAssoc>
+    void walk_ways(const CoalescedAccess* page, std::size_t n);
+    template <unsigned kAssoc>
+    void consume_ways(const std::uint64_t* addresses, std::size_t n);
+    /// Replays missed[0, n) through every child.
+    void hand_down(std::size_t n);
+
+    CacheLevelSpec geometry;
+    CacheLevel level;
+    std::uint64_t accesses = 0;  // L1 units only
+    std::uint64_t misses = 0;
+    std::uint64_t last_line = ~0ull;  // L1 MRU filter, kept across pages
+    std::vector<std::uint64_t> missed;  // one sub-batch; empty for leaves
+    std::vector<Cache> children;
+  };
+  /// A spec's units: l1s_[l1].children[l2].children[l3].
+  struct Path {
+    std::size_t l1 = 0, l2 = 0, l3 = 0;
+    bool has_l3 = false;
+  };
+
+  xcl::ThreadPool& pool_;
+  Tlb tlb_;
+  std::vector<Cache> l1s_;
+  std::vector<Path> paths_;
+  const CoalescedAccess* page_ = nullptr;
+  std::size_t n_ = 0;
+  std::function<void(std::size_t)> body_;
+};
+
 /// Generates the trace twice (cold + warm pass) and replays it through one
-/// fresh hierarchy per spec in a single streamed fan-out: each flushed page
-/// is processed by every hierarchy -- one fused walk each, the hierarchies
-/// in parallel on `pool` -- before the next page is generated.  Returns one
-/// entry per spec, in spec order.
+/// ReplayForest of the specs: each flushed page is processed by every unit
+/// before the next page is generated.  Returns one entry per spec, in spec
+/// order.
 std::vector<ReplayMemoEntry> replay_hierarchies(
     const TraceGenerator& gen, const std::vector<const DeviceSpec*>& specs,
     xcl::ThreadPool& pool);

@@ -1,8 +1,9 @@
 // Property tests for the high-throughput trace-replay engine: every replay
-// path (batched raw, line-coalesced, multi-hierarchy fan-out, one
-// hierarchy alone on a multi-worker pool) must produce HierarchyCounters
-// bit-identical to the seed per-access reference replay -- on randomized
-// traces spanning the residence regimes of all 15 testbed hierarchies.
+// path (batched raw, the line-coalesced replay forest over many
+// hierarchies, one hierarchy alone on a multi-worker pool, hierarchies
+// sharing level prefixes) must produce HierarchyCounters bit-identical to
+// the seed per-access reference replay -- on randomized traces spanning the
+// residence regimes of all 15 testbed hierarchies.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -200,31 +201,28 @@ TEST(CacheReplay, BatchedRawBitIdenticalToPerAccess) {
 }
 
 TEST(CacheReplay, CoalescedBitIdenticalToPerAccessOnAllDevices) {
+  xcl::ThreadPool pool(3);
+  const std::vector<const DeviceSpec*> specs = all_specs();
   for (const auto& [name, trace] : property_traces(12, 6)) {
-    for (const DeviceSpec* spec : all_specs()) {
-      const HierarchyCounters want = reference_replay(trace, *spec);
-      CacheHierarchy h(*spec);
-      struct Sink final : CoalescedSink {
-        CacheHierarchy* h;
-        void consume(const CoalescedAccess* page, std::size_t n) override {
-          h->consume_coalesced(page, n);
-        }
-      } sink;
-      sink.h = &h;
-      TraceWriter writer(sink);
-      generator_of(trace)(writer);
-      writer.finish();
-      EXPECT_EQ(writer.accesses(), trace.size());
-      expect_counters_eq(h.counters(), want, spec->name + " " + name);
+    ReplayForest forest(specs, pool);
+    TraceWriter writer(forest);
+    generator_of(trace)(writer);
+    writer.finish();
+    EXPECT_EQ(writer.accesses(), trace.size());
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+      expect_counters_eq(forest.counters(i),
+                         reference_replay(trace, *specs[i]),
+                         specs[i]->name + " " + name);
     }
   }
 }
 
-TEST(CacheReplay, FanOutTwoPassBitIdenticalToSeedProtocol) {
-  // Every hierarchy at once, and each alone: one spec on a multi-worker
-  // pool runs its fused walk inline on the caller.
+// Replays each property trace through all `specs` in one call and through
+// each spec alone, both on a multi-worker pool, against the seed two-pass
+// protocol.
+void expect_two_pass_matches_reference(
+    const std::vector<const DeviceSpec*>& specs) {
   xcl::ThreadPool pool(3);
-  const std::vector<const DeviceSpec*> specs = all_specs();
   for (const auto& [name, trace] : property_traces(4, 6)) {
     const std::vector<ReplayMemoEntry> got =
         replay_hierarchies(generator_of(trace), specs, pool);
@@ -236,13 +234,71 @@ TEST(CacheReplay, FanOutTwoPassBitIdenticalToSeedProtocol) {
       ASSERT_EQ(alone.size(), 1u);
       for (const ReplayMemoEntry* e : {&got[i], &alone[0]}) {
         const std::string ctx = specs[i]->name + " " + name +
-                                (e == &got[i] ? " fan-out" : " alone");
+                                (e == &got[i] ? " together" : " alone");
         expect_counters_eq(e->cold, want.cold, ctx + " cold");
         expect_counters_eq(e->warm, want.warm, ctx + " warm");
         EXPECT_EQ(e->accesses, trace.size()) << ctx;
       }
     }
   }
+}
+
+TEST(CacheReplay, FanOutTwoPassBitIdenticalToSeedProtocol) {
+  expect_two_pass_matches_reference(all_specs());
+}
+
+// A copy of the i7-6700K with its levels replaced.
+DeviceSpec with_levels(const char* name, const CacheLevelSpec& l1,
+                       const CacheLevelSpec& l2, const CacheLevelSpec& l3) {
+  DeviceSpec spec = skylake();
+  spec.name = name;
+  spec.l1 = l1;
+  spec.l2 = l2;
+  spec.l3 = l3;
+  return spec;
+}
+
+TEST(CacheReplay, SharedPrefixesMatchAlone) {
+  // Every way two specs can share forest units: the same L1 under
+  // different L2s, the same L1 and L2 under different L3s, one spec listed
+  // twice; plus line sizes that differ between a unit and its child.
+  const CacheLevelSpec l1{32 * 1024, 64, 8};
+  const CacheLevelSpec l2{256 * 1024, 64, 8};
+  const CacheLevelSpec none{};
+  const DeviceSpec base =
+      with_levels("base", l1, l2, {8 * 1024 * 1024, 64, 16});
+  const DeviceSpec other_l2 =
+      with_levels("other L2", l1, {128 * 1024, 64, 4}, none);
+  const DeviceSpec other_l3 =
+      with_levels("other L3", l1, l2, {1024 * 1024, 64, 16});
+  const DeviceSpec narrow_over_wide =
+      with_levels("64B L1 over 128B L2", {16 * 1024, 64, 4},
+                  {64 * 1024, 128, 8}, none);
+  const DeviceSpec wide_over_narrow =
+      with_levels("128B L1 over 64B L2", {16 * 1024, 128, 4},
+                  {64 * 1024, 64, 8}, {512 * 1024, 128, 16});
+  const std::vector<const DeviceSpec*> specs = {
+      &base, &other_l2, &other_l3, &base, &narrow_over_wide,
+      &wide_over_narrow};
+  xcl::ThreadPool pool(1);
+  const ReplayForest::Shape shape = ReplayForest(specs, pool).shape();
+  EXPECT_EQ(shape.tlb, 1u);
+  EXPECT_EQ(shape.l1, 3u);
+  EXPECT_EQ(shape.l2, 4u);
+  EXPECT_EQ(shape.l3, 3u);
+  expect_two_pass_matches_reference(specs);
+}
+
+TEST(CacheReplay, TestbedForestShapePinned) {
+  // The 15 testbed hierarchies share one TLB and come down to 4 L1, 9
+  // (L1, L2) and 3 (L1, L2, L3) geometries.  A spec edit that changes the
+  // sharing changes the replay cost: update DESIGN.md §8 with this pin.
+  xcl::ThreadPool pool(1);
+  const ReplayForest::Shape shape = ReplayForest(all_specs(), pool).shape();
+  EXPECT_EQ(shape.tlb, 1u);
+  EXPECT_EQ(shape.l1, 4u);
+  EXPECT_EQ(shape.l2, 9u);
+  EXPECT_EQ(shape.l3, 3u);
 }
 
 // ---------------------------------------------------------------------------
@@ -341,49 +397,48 @@ TEST(CacheReplay, EmitRunMatchesElementwiseEmits) {
     }
   };
   EXPECT_EQ(hash_trace(with_run).accesses, hash_trace(elementwise).accesses);
-  for (const DeviceSpec* spec : {&skylake(), all_specs().back()}) {
-    CacheHierarchy ha(*spec), hb(*spec);
-    struct Sink final : CoalescedSink {
-      CacheHierarchy* h;
-      void consume(const CoalescedAccess* page, std::size_t n) override {
-        h->consume_coalesced(page, n);
-      }
-    } sa, sb;
-    sa.h = &ha;
-    sb.h = &hb;
-    {
-      TraceWriter wa(sa);
-      with_run(wa);
-    }
-    {
-      TraceWriter wb(sb);
-      elementwise(wb);
-    }
-    expect_counters_eq(ha.counters(), hb.counters(),
-                       spec->name + " emit_run");
+  xcl::ThreadPool pool(3);
+  const std::vector<const DeviceSpec*> specs = {&skylake(),
+                                                all_specs().back()};
+  ReplayForest fa(specs, pool), fb(specs, pool);
+  {
+    TraceWriter wa(fa);
+    with_run(wa);
+  }
+  {
+    TraceWriter wb(fb);
+    elementwise(wb);
+  }
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    expect_counters_eq(fa.counters(i), fb.counters(i),
+                       specs[i]->name + " emit_run");
   }
 }
 
 TEST(CacheReplay, HandBuiltRepeatRecordsExactEvenForHugeSpans) {
-  // Records whose span exceeds the L1 (or the whole TLB reach) cannot take
-  // the guaranteed-hit repeat credit; the replay must expand them.  Check
-  // against per-access expansion of the same records.
-  const DeviceSpec& spec = skylake();
+  // Records whose span exceeds an L1 (or the whole TLB reach) cannot take
+  // the guaranteed-hit repeat credit; each unit must expand them.  Check
+  // against per-access expansion of the same records on every hierarchy.
   const std::vector<CoalescedAccess> records = {
-      {0x10000, 64 * 1024, 3},   // span 1024 lines > L1's 512
+      {0x10000, 64 * 1024, 3},   // span 1024 lines > the i7's L1 of 512
       {0x10000, 512 * 1024, 2},  // span > TLB reach (64 x 4 KiB)
       {0x20000, 64, 5},          // small span: credited
       {0x20000, 128, 0},
   };
-  CacheHierarchy ref(spec);
-  for (const CoalescedAccess& r : records) {
-    for (std::uint32_t k = 0; k <= r.repeats; ++k) {
-      ref.access(r.address, r.bytes, false);
+  xcl::ThreadPool pool(3);
+  const std::vector<const DeviceSpec*> specs = all_specs();
+  ReplayForest forest(specs, pool);
+  forest.consume(records.data(), records.size());
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    CacheHierarchy ref(*specs[i]);
+    for (const CoalescedAccess& r : records) {
+      for (std::uint32_t k = 0; k <= r.repeats; ++k) {
+        ref.access(r.address, r.bytes, false);
+      }
     }
+    expect_counters_eq(forest.counters(i), ref.counters(),
+                       specs[i]->name + " huge-span records");
   }
-  CacheHierarchy h(spec);
-  h.consume_coalesced(records.data(), records.size());
-  expect_counters_eq(h.counters(), ref.counters(), "huge-span records");
 }
 
 TEST(CacheReplay, WriterFlushesAcrossPageBoundaries) {
@@ -401,22 +456,23 @@ TEST(CacheReplay, WriterFlushesAcrossPageBoundaries) {
     trace.push_back({i * 64, 4, false});
   }
   const HierarchyCounters want = reference_replay(trace, spec);
-  CacheHierarchy h(spec);
+  xcl::ThreadPool pool(3);
+  ReplayForest forest({&spec}, pool);
   struct Sink final : CoalescedSink {
-    CacheHierarchy* h;
+    ReplayForest* forest = nullptr;
     std::size_t calls = 0;
     void consume(const CoalescedAccess* page, std::size_t n) override {
       ++calls;
-      h->consume_coalesced(page, n);
+      forest->consume(page, n);
     }
   } sink;
-  sink.h = &h;
+  sink.forest = &forest;
   TraceWriter writer(sink);
   gen(writer);
   writer.finish();
   EXPECT_GE(sink.calls, 2u);
   EXPECT_EQ(writer.accesses(), lines);
-  expect_counters_eq(h.counters(), want, "page boundary");
+  expect_counters_eq(forest.counters(0), want, "page boundary");
 }
 
 TEST(CacheReplay, TraceKeyIsOrderAndContentSensitive) {
