@@ -1,19 +1,21 @@
-// Shared main-loop for the standalone benchmark applications.
-//
-// Each application follows the paper's §4.4.5 convention:
-//   Benchmark Device -- Arguments
-// where Device is the uniform -p/-d/-t selection and Arguments are the
-// benchmark-specific Table 3 options parsed by the app.  The app runs the
-// measurement methodology (>= 2 s loop, 50 samples by default), validates
-// against the serial reference, and prints a LibSciBench-style summary.
+// The dwarf apps' one main over the Table 3 argument table (app_table.cpp)
+// and their measurement and report steps.  Each app follows the paper's
+// §4.4.5 convention `Benchmark Device -- Arguments`: Device is the uniform
+// -p/-d/-t selection, Arguments the dwarf's row of the table.  The table
+// owns syntax and width: every token must be consumed by a declared
+// argument and parse whole at the width of the configure() parameter it
+// feeds.  configure() owns the ranges (lud's multiple of 16, ...).
 #pragma once
 
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iostream>
+#include <map>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "dwarfs/common.hpp"
@@ -27,10 +29,10 @@
 
 namespace eod::apps {
 
-/// Splits argv at "--": everything before is uniform device/suite options,
-/// everything after is benchmark-specific arguments (Table 3 style).  When
-/// no "--" is present, all arguments are treated as uniform options and the
-/// benchmark-specific argument list is the leftover positionals.
+/// Splits argv at "--": everything before is uniform device/suite options
+/// (a leftover there throws), everything after is benchmark-specific
+/// arguments (Table 3 style).  Without "--" the benchmark-specific argument
+/// list is the uniform parser's leftover positionals.
 struct SplitArgs {
   harness::CliOptions cli;
   std::vector<std::string> benchmark_args;
@@ -49,6 +51,7 @@ inline SplitArgs split_args(int argc, const char** argv) {
   if (split == argc) {
     out.benchmark_args = out.cli.positional;
   } else {
+    harness::require_no_positionals(out.cli);
     for (int i = split + 1; i < argc; ++i) {
       out.benchmark_args.emplace_back(argv[i]);
     }
@@ -158,28 +161,11 @@ inline int run_configured(dwarfs::Dwarf& dwarf,
   return (m.validation.ok && !check_failed) ? 0 : 1;
 }
 
-/// Turns the trace recorder on for a partitioned multi-device run when
-/// --trace / EOD_TRACE / --profile asks for one.  Must run before the
-/// partitioned execution so the per-device command spans are recorded;
-/// report_partitioned() serialises and analyzes them afterwards.  Returns
-/// the *requested* trace path ("trace.json" when only --profile asked).
-inline std::string begin_partitioned_trace(const harness::CliOptions& cli) {
-  std::string path =
-      !cli.trace_path.empty() ? cli.trace_path : obs::env_trace_path();
-  if (path.empty() && cli.profile) path = "trace.json";
-  if (!path.empty()) {
-    obs::reset_tracing();
-    obs::set_thread_lane_name("harness");
-    obs::set_tracing_enabled(true);
-  }
-  return path;
-}
-
 /// Prints the standard report for a partitioned multi-device run
 /// (DESIGN.md §14), writes the trace/metrics/profile artifacts, and writes
 /// the run manifest (with the full --devices set) when an observability
-/// flag asked for artifacts.  `requested_trace` is
-/// begin_partitioned_trace()'s return value.  Returns the process exit
+/// flag asked for artifacts.  `requested_trace` is the trace path the run
+/// recorded for (empty when tracing was off).  Returns the process exit
 /// code.
 inline int report_partitioned(const dwarfs::Dwarf& dwarf,
                               const harness::PartitionedResult& r,
@@ -274,29 +260,61 @@ inline int report_partitioned(const dwarfs::Dwarf& dwarf,
   return r.validation.ok ? 0 : 1;
 }
 
-/// Fetches argument i (0-based) from a Table 3 argument list or returns
-/// the fallback.
-inline std::string arg_or(const std::vector<std::string>& args,
-                          std::size_t i, const std::string& fallback) {
-  return i < args.size() ? args[i] : fallback;
+/// How a value is written: an integer or float at the width of the
+/// configure() parameter it feeds (unsigned, std::size_t, std::int32_t,
+/// float, double), <width>x<height> of std::size_t, a file path, or only
+/// one of Arg::words.
+enum class Kind { kU32, kU64, kI32, kF32, kF64, kExtent, kPath, kWord };
+
+struct Arg {
+  std::string flag;  ///< "-s"; empty for a position
+  std::string name;  ///< the value's name in the usage line; a position's key
+  Kind kind = Kind::kWord;
+  /// Words accepted besides the kind's values (gem's molecule names); a
+  /// kWord argument accepts only these (the paper's fixed values).
+  std::vector<std::string> words = {};
+  /// Keys this argument replaces: a replaced flag may not be given with it,
+  /// and a replaced position is skipped (csr -i, gem -i).
+  std::vector<std::string> replaces = {};
+};
+
+/// A parsed argument list: each given token by flag or position name.
+using Values = std::map<std::string, std::string, std::less<>>;
+
+/// The value of `key` as the configure() parameter type T, or `fallback`
+/// (the size preset) when absent; parse_args() checked it fits.
+template <class T>
+T get(const Values& v, const std::string& key, T fallback) {
+  const auto it = v.find(key);
+  return it == v.end() ? fallback : harness::parse_number<T>(key, it->second);
 }
 
-/// Finds "-x value" style options in a benchmark argument list.
-inline std::string flag_value(const std::vector<std::string>& args,
-                              const std::string& flag,
-                              const std::string& fallback) {
-  for (std::size_t i = 0; i + 1 < args.size(); ++i) {
-    if (args[i] == flag) return args[i + 1];
-  }
-  return fallback;
-}
+/// Parses a Table 3 argument list: flags anywhere, leftover tokens fill
+/// the positions in order.  Throws std::invalid_argument naming the token,
+/// its flag or position and the legal values.
+[[nodiscard]] Values parse_args(const std::vector<Arg>& args,
+                                const std::vector<std::string>& tokens);
 
-inline bool has_flag(const std::vector<std::string>& args,
-                     const std::string& flag) {
-  for (const auto& a : args) {
-    if (a == flag) return true;
-  }
-  return false;
-}
+/// "usage: <command> [-f <features>] [<length>] ..." for `args`.
+[[nodiscard]] std::string usage_line(const std::string& command,
+                                     const std::vector<Arg>& args);
+
+struct Row {
+  std::string name;  ///< the registry name; the binary is <name>_app
+  std::vector<Arg> args;
+  /// Configures `dwarf` (created from `name`) from the values, taking the
+  /// size preset for absent ones, then writes the echo line to `echo`.
+  void (*configure)(dwarfs::Dwarf& dwarf, const Values& values,
+                    dwarfs::ProblemSize size, std::ostream& echo);
+  /// Runs the configured dwarf and prints its report; returns the exit code.
+  int (*run)(dwarfs::Dwarf& dwarf, const harness::CliOptions& cli) =
+      run_configured;
+};
+
+/// One row per dwarf app, in Table 2 order followed by cwt and beff.
+[[nodiscard]] const std::vector<Row>& table();
+
+/// The main of <name>_app.
+int app_main(std::string_view name, int argc, const char** argv);
 
 }  // namespace eod::apps

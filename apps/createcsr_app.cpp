@@ -10,15 +10,18 @@
 
 int main(int argc, const char** argv) {
   using namespace eod;
+  const std::vector<apps::Arg> args = {
+      {"-n", "dimension", apps::Kind::kU64},
+      {"-d", "density, 5000 = 0.5%", apps::Kind::kF64},
+      {"-o", "file", apps::Kind::kPath}};
   try {
-    std::vector<std::string> args(argv + 1, argv + argc);
-    const std::size_t n =
-        std::stoul(apps::flag_value(args, "-n", "736"));
-    const double d = std::stod(apps::flag_value(args, "-d", "5000"));
-    const double density = d / 1e6;
-    const std::string out = apps::flag_value(
-        args, "-o", std::to_string(n) + ".csr");
-    const dwarfs::CsrMatrix m = dwarfs::create_csr(n, density, 0x637372ull);
+    const apps::Values v =
+        apps::parse_args(args, std::vector<std::string>(argv + 1, argv + argc));
+    const std::size_t n = apps::get<std::size_t>(v, "-n", 736);
+    const double d = apps::get(v, "-d", 5000.0);
+    const std::string out =
+        v.count("-o") ? v.at("-o") : std::to_string(n) + ".csr";
+    const dwarfs::CsrMatrix m = dwarfs::create_csr(n, d / 1e6, 0x637372ull);
     dwarfs::save_csr(m, out);
     std::cout << "createcsr -n " << n << " -d " << d << ": wrote " << out
               << " (" << m.n << "x" << m.n << ", " << m.nnz()
@@ -26,8 +29,7 @@ int main(int argc, const char** argv) {
     return 0;
   } catch (const std::exception& e) {
     std::cerr << e.what() << '\n'
-              << "usage: createcsr_app -n <dim> -d <density per ten-mille> "
-                 "[-o <file>]\n";
+              << apps::usage_line("createcsr_app", args) << '\n';
     return 2;
   }
 }

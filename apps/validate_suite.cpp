@@ -17,6 +17,7 @@ int main(int argc, const char** argv) {
   harness::CliOptions cli;
   try {
     cli = harness::parse_cli(argc, argv);
+    harness::require_no_positionals(cli);
   } catch (const std::exception& e) {
     std::cerr << e.what() << '\n' << harness::usage(argv[0]) << '\n';
     return 2;

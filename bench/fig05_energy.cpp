@@ -19,6 +19,7 @@ int main(int argc, const char** argv) {
   CliOptions cli;
   try {
     cli = parse_cli(argc, argv);
+    require_no_positionals(cli);
   } catch (const std::exception& e) {
     std::cerr << e.what() << '\n' << usage(argv[0]) << '\n';
     return 2;

@@ -38,6 +38,7 @@ inline int run_figure(const FigureSpec& spec, int argc, const char** argv) {
   CliOptions cli;
   try {
     cli = parse_cli(argc, argv);
+    require_no_positionals(cli);
   } catch (const std::exception& e) {
     std::cerr << e.what() << "\n" << usage(argv[0]) << '\n';
     return 2;

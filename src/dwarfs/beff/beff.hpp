@@ -81,6 +81,8 @@ class Beff final : public Dwarf {
   [[nodiscard]] const std::vector<BeffPoint>& points() const noexcept {
     return points_;
   }
+  /// The configured sweep ceiling.
+  [[nodiscard]] std::size_t max_bytes() const noexcept { return max_bytes_; }
 
  private:
   std::size_t max_bytes_ = 0;

@@ -54,7 +54,16 @@ void Dwt::configure_with_image(Extent extent, unsigned levels,
 }
 
 void Dwt::set_extent(Extent extent, unsigned levels) {
-  require_levels(extent, levels);
+  require(extent.width >= 2 && extent.height >= 2,
+          xcl::Status::kInvalidValue, "dwt image must be at least 2x2");
+  const unsigned max = max_levels(extent);
+  if (levels > max) {
+    throw std::invalid_argument(
+        "dwt: a " + std::to_string(extent.width) + "x" +
+        std::to_string(extent.height) + " image supports 1.." +
+        std::to_string(max) + " levels (halvings while both sides stay >= 2)" +
+        "; got -l " + std::to_string(levels));
+  }
   require(levels >= 1, xcl::Status::kInvalidValue,
           "dwt needs at least one level");
   extent_ = extent;
@@ -70,19 +79,6 @@ unsigned Dwt::max_levels(Extent extent) {
     ++levels;
   }
   return levels;
-}
-
-void Dwt::require_levels(Extent extent, unsigned long levels) {
-  require(extent.width >= 2 && extent.height >= 2,
-          xcl::Status::kInvalidValue, "dwt image must be at least 2x2");
-  const unsigned max = max_levels(extent);
-  if (levels > max) {
-    throw std::invalid_argument(
-        "dwt: a " + std::to_string(extent.width) + "x" +
-        std::to_string(extent.height) + " image supports 1.." +
-        std::to_string(max) + " levels (halvings while both sides stay >= 2)" +
-        "; got -l " + std::to_string(levels));
-  }
 }
 
 void Dwt::bind(xcl::Context& ctx, xcl::Queue& q) {

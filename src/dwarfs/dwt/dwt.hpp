@@ -30,7 +30,7 @@ class Dwt final : public Dwarf {
 
   /// Custom image extent and decomposition depth (-l); setup(size) is the
   /// Table 2 preset configure(extent_for(size), kLevels).  Throws
-  /// std::invalid_argument (see require_levels) past max_levels(extent).
+  /// std::invalid_argument naming max_levels(extent) past it.
   void configure(Extent extent, unsigned levels);
 
   /// Transforms a caller-supplied raster (row-major, width*height floats)
@@ -41,9 +41,6 @@ class Dwt final : public Dwarf {
   /// Deepest decomposition the extent supports: the number of halvings
   /// while both sides stay >= 2.
   [[nodiscard]] static unsigned max_levels(Extent extent);
-  /// Throws xcl::Error for an extent under 2x2, and std::invalid_argument
-  /// naming max_levels(extent) when `levels` exceeds it.
-  static void require_levels(Extent extent, unsigned long levels);
 
   [[nodiscard]] std::string name() const override { return "dwt"; }
   [[nodiscard]] std::string berkeley_dwarf() const override {

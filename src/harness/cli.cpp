@@ -1,22 +1,45 @@
 #include "harness/cli.hpp"
 
+#include <charconv>
+#include <sstream>
 #include <stdexcept>
+#include <type_traits>
 
 #include "sim/testbed.hpp"
 
 namespace eod::harness {
 
-namespace {
-
-std::size_t parse_index(const std::string& flag, const std::string& value) {
-  try {
-    return static_cast<std::size_t>(std::stoull(value));
-  } catch (const std::exception&) {
-    throw std::invalid_argument("bad value for " + flag + ": " + value);
+template <class T>
+T parse_number(const std::string& what, const std::string& token, T lo,
+               T hi) {
+  T value{};
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, value);
+  // NaN fails both comparisons and an infinity is past lowest() or max().
+  if (ec == std::errc() && ptr == end && value >= lo && value <= hi) {
+    return value;
   }
+  std::ostringstream legal;
+  if constexpr (std::is_floating_point_v<T>) {
+    legal << "a finite number";
+    if (lo > std::numeric_limits<T>::lowest()) legal << " >= " << lo;
+  } else {
+    legal << "an integer in [" << lo << ", " << hi << ']';
+  }
+  throw std::invalid_argument(what + " expects " + legal.str() + "; got " +
+                              (what.starts_with('-') ? what + " " : "") +
+                              token);
 }
 
-}  // namespace
+template int parse_number(const std::string&, const std::string&, int, int);
+template unsigned parse_number(const std::string&, const std::string&,
+                               unsigned, unsigned);
+template std::size_t parse_number(const std::string&, const std::string&,
+                                  std::size_t, std::size_t);
+template float parse_number(const std::string&, const std::string&, float,
+                            float);
+template double parse_number(const std::string&, const std::string&, double,
+                             double);
 
 xcl::Device& CliOptions::resolve_device() const {
   xcl::Platform& p = sim::testbed_platform();
@@ -65,12 +88,11 @@ CliOptions parse_cli(int argc, const char* const* argv) {
       return argv[++i];
     };
     if (arg == "-p" || arg == "--platform") {
-      o.platform = parse_index(arg, next(arg));
+      o.platform = parse_number<std::size_t>(arg, next(arg));
     } else if (arg == "-d" || arg == "--device") {
-      o.device = parse_index(arg, next(arg));
+      o.device = parse_number<std::size_t>(arg, next(arg));
     } else if (arg == "-t" || arg == "--type") {
-      o.type = static_cast<int>(parse_index(arg, next(arg)));
-      if (o.type > 2) throw std::invalid_argument("-t must be 0, 1 or 2");
+      o.type = parse_number<int>(arg, next(arg), 0, 2);
     } else if (arg == "--device-name") {
       o.device_name = next(arg);
     } else if (arg == "--devices") {
@@ -102,9 +124,9 @@ CliOptions parse_cli(int argc, const char* const* argv) {
       }
       o.size = s;
     } else if (arg == "--samples") {
-      o.samples = parse_index(arg, next(arg));
+      o.samples = parse_number<std::size_t>(arg, next(arg), 1);
     } else if (arg == "--min-loop-seconds") {
-      o.min_loop_seconds = std::stod(next(arg));
+      o.min_loop_seconds = parse_number<double>(arg, next(arg), 0.0);
     } else if (arg == "--validate") {
       o.validate = true;
     } else if (arg == "--all-devices") {
@@ -141,6 +163,11 @@ CliOptions parse_cli(int argc, const char* const* argv) {
     }
   }
   return o;
+}
+
+void require_no_positionals(const CliOptions& o) {
+  if (o.positional.empty()) return;
+  throw std::invalid_argument("unexpected argument " + o.positional.front());
 }
 
 std::string usage(const std::string& program) {

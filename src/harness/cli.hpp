@@ -5,6 +5,7 @@
 // device to be selected in a uniform way between applications" (§4.4.5).
 #pragma once
 
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -61,9 +62,23 @@ struct CliOptions {
   [[nodiscard]] std::vector<xcl::Device*> resolve_devices() const;
 };
 
-/// Parses the uniform options; throws std::invalid_argument (with a usage
-/// string) on malformed input.  Unrecognised tokens land in `positional`.
+/// The strict number parser of every command line in the suite: the whole
+/// token must parse (std::from_chars) to a finite value in [lo, hi], checked
+/// before any narrowing cast.  Otherwise throws std::invalid_argument
+/// "<what> expects <legal values>; got [<what> if a flag] <token>".
+/// Instantiated for int, unsigned, std::size_t, float and double.
+template <class T>
+T parse_number(const std::string& what, const std::string& token,
+               T lo = std::numeric_limits<T>::lowest(),
+               T hi = std::numeric_limits<T>::max());
+
+/// Parses the uniform options; throws std::invalid_argument naming the flag
+/// on malformed input.  Unrecognised tokens land in `positional`.
 [[nodiscard]] CliOptions parse_cli(int argc, const char* const* argv);
+
+/// Throws std::invalid_argument naming the first token parse_cli did not
+/// recognise, for command lines that take no positional argument.
+void require_no_positionals(const CliOptions& o);
 
 /// The usage text shared by all benchmark binaries.
 [[nodiscard]] std::string usage(const std::string& program);

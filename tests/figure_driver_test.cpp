@@ -90,5 +90,18 @@ TEST(FigureDriver, BadArgumentsReportUsage) {
   EXPECT_NE(err.find("usage:"), std::string::npos);
 }
 
+TEST(FigureDriver, UnknownTokenReportsUsage) {
+  // A stray token used to be ignored while the default sweep ran.
+  FigureSpec spec = crc_spec();
+  const char* argv[] = {"figure_test", "--size", "tiny", "--lng-table"};
+  testing::internal::CaptureStdout();
+  testing::internal::CaptureStderr();
+  const int rc = run_figure(spec, 4, argv);
+  testing::internal::GetCapturedStdout();
+  const std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_EQ(rc, 2);
+  EXPECT_NE(err.find("unexpected argument --lng-table"), std::string::npos);
+}
+
 }  // namespace
 }  // namespace eod::bench

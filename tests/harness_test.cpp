@@ -136,6 +136,63 @@ TEST(Cli, RejectsBadInput) {
   EXPECT_NE(usage("prog").find("-t <0=CPU"), std::string::npos);
 }
 
+// The uniform options go through the strict number parser: a malformed or
+// out-of-range value throws naming its flag, the token and the legal range.
+std::string cli_error(std::vector<const char*> argv) {
+  argv.insert(argv.begin(), "bench");
+  try {
+    (void)parse_cli(static_cast<int>(argv.size()), argv.data());
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "accepted";
+}
+
+TEST(HarnessCli, SamplesMustBeAtLeastOne) {
+  // --samples 0 used to report a mean of 0 ms over 0 samples and exit 0.
+  EXPECT_EQ(cli_error({"--samples", "0"}),
+            "--samples expects an integer in [1, 18446744073709551615]; got "
+            "--samples 0");
+  EXPECT_EQ(cli_error({"--samples=1"}), "accepted");
+}
+
+TEST(HarnessCli, MinLoopSecondsMustBeFiniteAndNonNegative) {
+  for (const char* bad : {"-5", "inf", "nan", "1e999", "abc", "2s"}) {
+    EXPECT_EQ(cli_error({"--min-loop-seconds", bad}),
+              std::string("--min-loop-seconds expects a finite number >= 0; "
+                          "got --min-loop-seconds ") +
+                  bad);
+  }
+  EXPECT_EQ(cli_error({"--min-loop-seconds", "0"}), "accepted");
+  EXPECT_EQ(cli_error({"--min-loop-seconds", "0.25"}), "accepted");
+}
+
+TEST(HarnessCli, IntegersRejectTrailingGarbage) {
+  // std::stoull read each of these as 2 (or 1).
+  EXPECT_EQ(cli_error({"-p", "2x"}),
+            "-p expects an integer in [0, 18446744073709551615]; got -p 2x");
+  EXPECT_EQ(cli_error({"-d", "2x"}),
+            "-d expects an integer in [0, 18446744073709551615]; got -d 2x");
+  EXPECT_EQ(cli_error({"-t", "1x"}),
+            "-t expects an integer in [0, 2]; got -t 1x");
+  EXPECT_EQ(cli_error({"--samples", "2x"}),
+            "--samples expects an integer in [1, 18446744073709551615]; got "
+            "--samples 2x");
+  EXPECT_EQ(cli_error({"-d", "-1"}),
+            "-d expects an integer in [0, 18446744073709551615]; got -d -1");
+}
+
+TEST(HarnessCli, LeftoverTokensAreNamed) {
+  const char* argv[] = {"bench", "--size", "tiny", "tinyy"};
+  const CliOptions o = parse_cli(4, argv);
+  try {
+    require_no_positionals(o);
+    FAIL() << "tinyy was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "unexpected argument tinyy");
+  }
+}
+
 TEST(Report, PanelAndLongTableContainAllDevices) {
   MeasureOptions o = quick_options();
   o.samples = 3;
