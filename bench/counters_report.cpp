@@ -7,13 +7,14 @@
 // trace through the Skylake hierarchy and prints the PAPI-event rates the
 // paper lists: IPC, L1/L2 data cache misses, L3 request/miss rate and miss
 // ratio, data TLB miss rate, and branch mispredictions.
-#include <cstdlib>
-#include <cstring>
 #include <iomanip>
 #include <iostream>
+#include <stdexcept>
+#include <string>
 
 #include "dwarfs/registry.hpp"
 #include "figure_common.hpp"
+#include "harness/cli.hpp"
 #include "harness/runner.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -36,21 +37,36 @@ int main(int argc, char** argv) {
   // measure() call below) into one Chrome trace / metrics snapshot.
   std::string trace_path;
   std::string metrics_path;
+  // Any other token, or a malformed value, exits 2 naming it.
+  const auto reject = [](const std::string& message) {
+    std::cerr << message
+              << "\nusage: counters_report [--max-accesses N] "
+                 "[--dispatch=MODE] [--trace=FILE] [--metrics=FILE]\n";
+    return 2;
+  };
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--max-accesses") == 0 && i + 1 < argc) {
-      max_accesses = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strncmp(argv[i], "--dispatch=", 11) == 0) {
-      const auto mode = xcl::parse_dispatch_mode(argv[i] + 11);
+    const std::string arg = argv[i];
+    if (arg == "--max-accesses") {
+      if (i + 1 == argc) return reject(arg + " requires a value");
+      try {
+        max_accesses = harness::parse_number<std::size_t>(arg, argv[++i]);
+      } catch (const std::invalid_argument& e) {
+        return reject(e.what());
+      }
+    } else if (arg.rfind("--dispatch=", 0) == 0) {
+      const auto mode = xcl::parse_dispatch_mode(arg.substr(11));
       if (!mode.has_value()) {
-        std::cerr << "bad --dispatch (" << xcl::dispatch_mode_names()
-                  << "): " << argv[i] + 11 << '\n';
-        return 2;
+        return reject(std::string("bad --dispatch (") +
+                      xcl::dispatch_mode_names() +
+                      "): " + arg.substr(11));
       }
       dispatch = *mode;
-    } else if (std::strncmp(argv[i], "--trace=", 8) == 0) {
-      trace_path = argv[i] + 8;
-    } else if (std::strncmp(argv[i], "--metrics=", 10) == 0) {
-      metrics_path = argv[i] + 10;
+    } else if (arg.rfind("--trace=", 0) == 0) {
+      trace_path = arg.substr(8);
+    } else if (arg.rfind("--metrics=", 0) == 0) {
+      metrics_path = arg.substr(10);
+    } else {
+      return reject("unexpected argument " + arg);
     }
   }
   if (trace_path.empty()) trace_path = obs::env_trace_path();

@@ -8,12 +8,15 @@
 //   suite_report [--samples N] [--out DIR]
 //
 // Writes one whitespace-separated .dat file per benchmark (R: read.table)
-// plus a combined summary to stdout.
+// plus a combined summary to stdout.  An unknown token, a missing value or
+// a --samples that is not an integer >= 1 exits 2 naming the token.
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <stdexcept>
 
 #include "dwarfs/registry.hpp"
+#include "harness/cli.hpp"
 #include "harness/report.hpp"
 #include "harness/runner.hpp"
 
@@ -23,10 +26,23 @@ int main(int argc, const char** argv) {
 
   std::size_t samples = 50;
   std::string out_dir = "suite_results";
-  for (int i = 1; i + 1 < argc; i += 2) {
-    const std::string flag = argv[i];
-    if (flag == "--samples") samples = std::stoul(argv[i + 1]);
-    if (flag == "--out") out_dir = argv[i + 1];
+  try {
+    for (int i = 1; i < argc; ++i) {
+      const std::string flag = argv[i];
+      if (flag != "--samples" && flag != "--out") {
+        throw std::invalid_argument("unexpected argument " + flag);
+      }
+      if (i + 1 == argc) throw std::invalid_argument(flag + " requires a value");
+      const std::string value = argv[++i];
+      if (flag == "--samples") {
+        samples = parse_number<std::size_t>(flag, value, 1);
+      } else {
+        out_dir = value;
+      }
+    }
+  } catch (const std::invalid_argument& e) {
+    std::cerr << e.what() << "\nusage: suite_report [--samples N] [--out DIR]\n";
+    return 2;
   }
   std::filesystem::create_directories(out_dir);
 

@@ -4,6 +4,9 @@
 #include <cmath>
 #include <cstring>
 #include <sstream>
+#include <stdexcept>
+
+#include "obs/metrics.hpp"
 
 namespace eod::dwarfs {
 
@@ -63,6 +66,27 @@ Validation validate_norm(std::span<const float> got,
      << tolerance << ")";
   v.detail = os.str();
   return v;
+}
+
+std::size_t checked_elements(std::size_t rows, std::size_t cols,
+                             std::size_t elem_bytes, const std::string& what) {
+  std::size_t elements = 0;
+  std::size_t bytes = 0;
+  if (__builtin_mul_overflow(rows, cols, &elements) ||
+      __builtin_mul_overflow(elements, elem_bytes, &bytes)) {
+    throw std::invalid_argument(what + " = " + std::to_string(rows) + " x " +
+                                std::to_string(cols) +
+                                " elements overflow the address space");
+  }
+  return elements;
+}
+
+void InputFill::ensure(const std::function<void()>& gen) const {
+  if (filled_) return;
+  gen();
+  filled_ = true;
+  static obs::Counter& fills = obs::counter("dwarfs.input_fills");
+  fills.add(1);
 }
 
 namespace {

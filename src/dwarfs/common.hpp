@@ -153,8 +153,39 @@ template <typename T>
   return hash_bytes(std::as_bytes(data), seed);
 }
 
+/// rows * cols elements of `elem_bytes` each, for a configure() that sizes
+/// an array from two of its arguments.  Throws std::invalid_argument
+/// naming `what` (the arguments, e.g. "lud: n x n") when the byte count
+/// does not fit std::size_t, before anything is allocated.
+[[nodiscard]] std::size_t checked_elements(std::size_t rows, std::size_t cols,
+                                           std::size_t elem_bytes,
+                                           const std::string& what);
+
+/// Deferred input generation (DESIGN.md §5, "Model-only measurements").
+/// configure() checks its arguments, sizes the input arrays (untouched
+/// HostVector pages cost nothing) and calls reset().  Every reader of the
+/// input -- a functional bind(), validate(), a public input accessor, a
+/// trace that reads data -- calls ensure(gen) first, which runs the
+/// generator once per configure(), on the calling thread, and counts it
+/// in "dwarfs.input_fills".  Entry points that install caller data call
+/// mark_filled(), so the generator never overwrites it.  A model-only
+/// sweep reads no input, so it generates none.  The arrays a generator
+/// writes are `mutable`: filling them is a const reader's first step.  Like
+/// the rest of a dwarf, the flag is used from one thread at a time.
+class InputFill {
+ public:
+  void reset() noexcept { filled_ = false; }
+  void mark_filled() noexcept { filled_ = true; }
+  /// Runs `gen` unless the input is already filled, then marks it filled.
+  void ensure(const std::function<void()>& gen) const;
+
+ private:
+  mutable bool filled_ = true;  // nothing to generate before configure()
+};
+
 /// A benchmark in the suite.  Lifecycle:
-///   setup(size)  -- generate host-side input (device independent)
+///   setup(size)  -- shape the host-side input (device independent); the
+///                   data is generated on its first read (InputFill)
 ///   bind(ctx,q)  -- allocate device buffers and enqueue initial transfers
 ///   run()        -- enqueue one application iteration's kernels (§2: the
 ///                   harness loops this for >= 2 s)

@@ -91,11 +91,17 @@ void Crc::configure(std::size_t bytes) {
   require(bytes > 0, xcl::Status::kInvalidValue,
           "crc input must be non-empty");
   data_ = HostVector<std::uint8_t>(bytes);
-  generate_indexed(bytes, 0x637263ull /* "crc" */, 1,
-                   [&](SplitMix64& rng, std::size_t i) {
-                     data_[i] = static_cast<std::uint8_t>(rng.next());
-                   });
   page_crcs_.assign(pages(), 0);
+  input_fill_.reset();
+}
+
+void Crc::fill_input() const {
+  input_fill_.ensure([&] {
+    generate_indexed(data_.size(), 0x637263ull /* "crc" */, 1,
+                     [&](SplitMix64& rng, std::size_t i) {
+                       data_[i] = static_cast<std::uint8_t>(rng.next());
+                     });
+  });
 }
 
 void Crc::bind(xcl::Context& ctx, xcl::Queue& q) {
@@ -103,6 +109,7 @@ void Crc::bind(xcl::Context& ctx, xcl::Queue& q) {
   data_buf_.emplace(ctx, data_.size());
   table_buf_.emplace(ctx, 256 * sizeof(std::uint32_t));
   crc_buf_.emplace(ctx, page_crcs_.size() * sizeof(std::uint32_t));
+  if (q.functional()) fill_input();
   q.enqueue_write<std::uint8_t>(*data_buf_, data_);
   q.enqueue_write<std::uint32_t>(
       *table_buf_, std::span<const std::uint32_t>(crc_table()));
@@ -194,6 +201,7 @@ Validation Crc::validate() {
   // byte-at-a-time chain, and the mismatch count is their sum.
   Validation v;
   const std::size_t n_pages = pages();
+  fill_input();
   std::atomic<std::size_t> mismatched{0};
   xcl::ThreadPool::global().parallel_for(n_pages, [&](std::size_t p) {
     const std::size_t begin = p * kPageBytes;
@@ -220,6 +228,7 @@ void Crc::unbind() {
 }
 
 void Crc::stream_trace(sim::TraceWriter& out) const {
+  fill_input();  // the table lookups are indexed by data bytes
   const std::uint64_t data_base = 0x10000;
   const std::uint64_t table_base = data_base + data_.size();
   const std::uint64_t out_base = table_base + 256 * 4;

@@ -66,7 +66,10 @@ class Crc final : public Dwarf {
     return (data_.size() + kPageBytes - 1) / kPageBytes;
   }
 
-  HostVector<std::uint8_t> data_;
+  void fill_input() const;
+  // Generated on first read (InputFill): bind, validate, stream_trace.
+  mutable HostVector<std::uint8_t> data_;
+  InputFill input_fill_;
   std::vector<std::uint32_t> page_crcs_;
 
   xcl::Queue* queue_ = nullptr;

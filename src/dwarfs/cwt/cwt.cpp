@@ -48,6 +48,8 @@ void Cwt::configure(std::size_t n, unsigned scales) {
           "cwt signal must have at least 16 samples");
   require(scales >= 1, xcl::Status::kInvalidValue,
           "cwt needs at least one scale");
+  const std::size_t cells =
+      checked_elements(n, scales, sizeof(float), "cwt: n x scales");
   n_ = n;
   scales_ = scales;
   span_taps_.reset();
@@ -62,7 +64,7 @@ void Cwt::configure(std::size_t n, unsigned scales) {
                          0.5 * std::sin(2.0 * M_PI * x / 64.0 + 0.1) +
                          0.1 * (rng.uniform() - 0.5));
                    });
-  magnitude_ = HostVector<float>(std::size_t{scales_} * n_);
+  magnitude_ = HostVector<float>(cells);
 }
 
 void Cwt::bind(xcl::Context& ctx, xcl::Queue& q) {

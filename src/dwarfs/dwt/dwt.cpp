@@ -36,12 +36,18 @@ void Dwt::setup(ProblemSize size) {
 
 void Dwt::configure(Extent extent, unsigned levels) {
   set_extent(extent, levels);
+  input_fill_.reset();
+}
+
+void Dwt::fill_input() const {
   // The paper's large image is the original photo; smaller classes are
   // down-sampled with ImageMagick.  Mirror that: render the full-size leaf
   // straight into the requested extent's box averages.
-  const Extent full = extent_for(ProblemSize::kLarge);
-  render_leaf_resized(full.width, full.height, extent.width, extent.height,
-                      input_);
+  input_fill_.ensure([&] {
+    const Extent full = extent_for(ProblemSize::kLarge);
+    render_leaf_resized(full.width, full.height, extent_.width,
+                        extent_.height, input_);
+  });
 }
 
 void Dwt::configure_with_image(Extent extent, unsigned levels,
@@ -51,6 +57,7 @@ void Dwt::configure_with_image(Extent extent, unsigned levels,
           "dwt image must hold width x height pixels");
   set_extent(extent, levels);
   std::copy(image.begin(), image.end(), input_.begin());
+  input_fill_.mark_filled();
 }
 
 void Dwt::set_extent(Extent extent, unsigned levels) {
@@ -66,10 +73,13 @@ void Dwt::set_extent(Extent extent, unsigned levels) {
   }
   require(levels >= 1, xcl::Status::kInvalidValue,
           "dwt needs at least one level");
+  // validate() stages the raster in doubles, the widest copy of it.
+  const std::size_t pixels = checked_elements(extent.width, extent.height,
+                                              sizeof(double), "dwt: w x h");
   extent_ = extent;
   levels_ = levels;
-  input_ = HostVector<float>(extent.width * extent.height);
-  output_ = HostVector<float>(input_.size());
+  input_ = HostVector<float>(pixels);
+  output_ = HostVector<float>(pixels);
 }
 
 unsigned Dwt::max_levels(Extent extent) {
@@ -85,6 +95,7 @@ void Dwt::bind(xcl::Context& ctx, xcl::Queue& q) {
   queue_ = &q;
   data_buf_.emplace(ctx, input_.size() * sizeof(float));
   temp_buf_.emplace(ctx, input_.size() * sizeof(float));
+  if (q.functional()) fill_input();  // run() uploads it
 }
 
 void Dwt::enqueue_level(std::size_t lw, std::size_t lh) {
@@ -424,10 +435,11 @@ Validation Dwt::validate() {
   // pool by rows.
   xcl::ThreadPool& pool = xcl::ThreadPool::global();
   const std::size_t width = extent_.width;
-  HostVector<double> ref(input_.size());
+  const std::span<const float> in = input();
+  HostVector<double> ref(in.size());
   pool.parallel_for(extent_.height, [&](std::size_t r) {
     for (std::size_t c = r * width; c < (r + 1) * width; ++c) {
-      ref[c] = input_[c];
+      ref[c] = in[c];
     }
   });
   reference_dwt53(ref, width, extent_.height, levels_);

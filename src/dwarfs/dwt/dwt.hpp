@@ -73,7 +73,8 @@ class Dwt final : public Dwarf {
                                std::size_t height, unsigned levels);
 
   /// The configured input raster, row-major.
-  [[nodiscard]] std::span<const float> input() const noexcept {
+  [[nodiscard]] std::span<const float> input() const {
+    fill_input();
     return input_;
   }
   /// The transformed coefficients (valid after finish()).
@@ -92,10 +93,12 @@ class Dwt final : public Dwarf {
   /// input and output rasters.
   void set_extent(Extent extent, unsigned levels);
   void enqueue_level(std::size_t lw, std::size_t lh);
+  void fill_input() const;
 
   Extent extent_;
   unsigned levels_ = kLevels;
-  HostVector<float> input_;   // grayscale pixels as float
+  mutable HostVector<float> input_;  // grayscale pixels as float
+  InputFill input_fill_;
   HostVector<float> output_;
 
   xcl::Queue* queue_ = nullptr;

@@ -31,23 +31,31 @@ void Fft::configure(std::size_t n, FftDirection dir) {
   dir_ = dir;
   twiddles_.reset();
   input_ = HostVector<float>(2 * n_);
-  generate_indexed(input_.size(), 0x666674ull /* "fft" */, 1,
-                   [&](SplitMix64& rng, std::size_t i) {
-                     input_[i] = rng.uniform(-1.0f, 1.0f);
-                   });
   output_ = HostVector<float>(2 * n_);
+  input_fill_.reset();
+}
+
+void Fft::fill_input() {
+  input_fill_.ensure([&] {
+    generate_indexed(input_.size(), 0x666674ull /* "fft" */, 1,
+                     [&](SplitMix64& rng, std::size_t i) {
+                       input_[i] = rng.uniform(-1.0f, 1.0f);
+                     });
+  });
 }
 
 void Fft::set_input(std::span<const float> interleaved) {
   require(interleaved.size() == 2 * n_, xcl::Status::kInvalidValue,
           "fft input must hold 2n interleaved floats");
   input_.assign(interleaved.begin(), interleaved.end());
+  input_fill_.mark_filled();
 }
 
 void Fft::bind(xcl::Context& ctx, xcl::Queue& q) {
   queue_ = &q;
   buf_a_.emplace(ctx, input_.size() * sizeof(float));
   buf_b_.emplace(ctx, input_.size() * sizeof(float));
+  if (q.functional()) fill_input();  // run() uploads it
 }
 
 void Fft::run() {
@@ -305,6 +313,7 @@ Validation Fft::validate() {
   constexpr std::size_t kChunk = 4096;
   xcl::ThreadPool& pool = xcl::ThreadPool::global();
   const std::size_t chunks = (n_ + kChunk - 1) / kChunk;
+  fill_input();
   HostVector<std::complex<double>> ref(n_);
   pool.parallel_for(chunks, [&](std::size_t c) {
     for (std::size_t i = c * kChunk; i < std::min(n_, (c + 1) * kChunk); ++i) {

@@ -31,7 +31,8 @@ class Fft final : public Dwarf {
   void configure(std::size_t n, FftDirection dir = FftDirection::kForward);
 
   /// Replaces the generated input with caller data (2n interleaved floats);
-  /// used to chain a forward and an inverse transform on the device.
+  /// used to chain a forward and an inverse transform on the device.  The
+  /// generator never runs over it.
   void set_input(std::span<const float> interleaved);
 
   [[nodiscard]] std::string name() const override { return "fft"; }
@@ -68,9 +69,11 @@ class Fft final : public Dwarf {
   }
 
  private:
+  void fill_input();
   std::size_t n_ = 0;
   FftDirection dir_ = FftDirection::kForward;
-  HostVector<float> input_;   // interleaved re/im
+  HostVector<float> input_;   // interleaved re/im, generated on first read
+  InputFill input_fill_;
   HostVector<float> output_;  // interleaved re/im
   /// The top stage's n/2 twiddles (interleaved cos/sin) the span bodies
   /// read; built by the first functional run().

@@ -13,11 +13,20 @@
 
 namespace eod::dwarfs {
 
-Molecule generate_molecule(std::size_t atoms, std::uint64_t seed) {
+namespace {
+
+/// A molecule of `atoms` untouched (zero) atoms.
+Molecule shaped_molecule(std::size_t atoms) {
   Molecule m;
   for (HostVector<float>* v : {&m.x, &m.y, &m.z, &m.q, &m.r}) {
     *v = HostVector<float>(atoms);
   }
+  return m;
+}
+
+/// Draws every atom of a shaped molecule in place.
+void fill_molecule(Molecule& m, std::uint64_t seed) {
+  const std::size_t atoms = m.atoms();
   // Pack atoms at protein-like density: ~0.01 atoms / A^3 inside a ball.
   const double radius =
       std::cbrt(static_cast<double>(atoms) / 0.01 * 3.0 / (4.0 * M_PI));
@@ -36,6 +45,13 @@ Molecule generate_molecule(std::size_t atoms, std::uint64_t seed) {
     m.q[i] = (i % 2 == 0) ? charge : -charge;
     m.r[i] = rng.uniform(1.0f, 2.0f);  // van der Waals radius, Angstrom
   });
+}
+
+}  // namespace
+
+Molecule generate_molecule(std::size_t atoms, std::uint64_t seed) {
+  Molecule m = shaped_molecule(atoms);
+  fill_molecule(m, seed);
   return m;
 }
 
@@ -128,23 +144,37 @@ void Gem::configure_with_molecule(Molecule molecule) {
   require(molecule.atoms() > 0, xcl::Status::kInvalidValue,
           "gem needs a non-empty molecule");
   mol_ = std::move(molecule);
+  size_vertices();
   place_surface_vertices();
+  input_fill_.mark_filled();
 }
 
 void Gem::configure(std::size_t atoms) {
   require(atoms > 0, xcl::Status::kInvalidValue, "gem needs atoms > 0");
-  const std::size_t a = atoms;
-  mol_ = generate_molecule(a, 0x67656dull);  // "gem"
-  place_surface_vertices();
+  mol_ = shaped_molecule(atoms);
+  size_vertices();
+  input_fill_.reset();
 }
 
-void Gem::place_surface_vertices() {
-  // msms substitute: surface points on the bounding sphere (2 per atom).
-  const std::size_t a = mol_.atoms();
-  const std::size_t v = 2 * a;
+void Gem::fill_input() const {
+  input_fill_.ensure([&] {
+    fill_molecule(mol_, 0x67656dull);  // "gem"
+    place_surface_vertices();
+  });
+}
+
+void Gem::size_vertices() {
+  const std::size_t v = 2 * mol_.atoms();
   vx_ = HostVector<float>(v);
   vy_ = HostVector<float>(v);
   vz_ = HostVector<float>(v);
+  potential_ = HostVector<float>(v);
+}
+
+void Gem::place_surface_vertices() const {
+  // msms substitute: surface points on the bounding sphere (2 per atom).
+  const std::size_t a = mol_.atoms();
+  const std::size_t v = vx_.size();
   // The bounding radius is a max, which no order changes: each pool task
   // takes the max over its run of atoms, then the runs' maxima combine.
   const std::size_t tasks = pool_tasks(a);
@@ -169,7 +199,6 @@ void Gem::place_surface_vertices() {
     vy_[i] = static_cast<float>(max_r * s * std::sin(phi));
     vz_[i] = static_cast<float>(max_r * u);
   });
-  potential_ = HostVector<float>(v);
 }
 
 void Gem::bind(xcl::Context& ctx, xcl::Queue& q) {
@@ -183,6 +212,7 @@ void Gem::bind(xcl::Context& ctx, xcl::Queue& q) {
   // the queue's rule: a model-only queue runs no kernel that could read it
   // and moves no bytes (DESIGN.md §5, "Model-only measurements").
   if (!q.functional()) return;
+  fill_input();
   float* xyzq = atoms_buf_->view<float>().data();
   float* xyz = verts_buf_->view<float>().data();
   constexpr std::size_t kChunk = 4096;  // atoms and vertices per pool task
@@ -353,6 +383,7 @@ Validation Gem::validate() {
   namespace sv = xcl::simd;
   constexpr std::size_t W = sv::kDoubleLanes;
   constexpr std::size_t kChunk = 64;  // vertices per pool task
+  fill_input();
   const std::size_t a = mol_.atoms();
   const std::size_t v = vx_.size();
   HostVector<double> atoms(4 * a);  // x, y, z, q per atom, widened once

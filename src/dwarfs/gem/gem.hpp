@@ -81,9 +81,17 @@ class Gem final : public Dwarf {
   [[nodiscard]] std::uint64_t result_signature() const override {
     return hash_result<float>(potential_);
   }
+  /// The configured molecule (generated, with its surface, on first read).
+  [[nodiscard]] const Molecule& molecule() const {
+    fill_input();
+    return mol_;
+  }
 
  private:
-  void place_surface_vertices();
+  /// Sizes the surface vertex and potential arrays for mol_'s atoms.
+  void size_vertices();
+  void place_surface_vertices() const;
+  void fill_input() const;
 
   /// One vertex-range tile of the potential kernel (tiled write-back,
   /// DESIGN.md §12): finish() reads tile [begin, end) of the potential
@@ -95,8 +103,10 @@ class Gem final : public Dwarf {
     xcl::Event kernel;
   };
 
-  Molecule mol_;
-  HostVector<float> vx_, vy_, vz_;  // surface vertices
+  // Generated on first read (InputFill); configure() only sizes them.
+  mutable Molecule mol_;
+  mutable HostVector<float> vx_, vy_, vz_;  // surface vertices
+  InputFill input_fill_;
   HostVector<float> potential_;
   std::vector<Tile> tiles_;  // filled by run(), consumed by finish()
 

@@ -65,17 +65,26 @@ void KMeans::configure(const Params& params) {
         std::to_string(params.features) +
         " points=" + std::to_string(params.points));
   }
+  const std::size_t elements =
+      checked_elements(params.points, params.features, sizeof(float),
+                       "kmeans: points x features");
   params_ = params;
-  features_ = HostVector<float>(params_.points * params_.features);
-  generate_indexed(features_.size(), kSeed, 1,
-                   [&](SplitMix64& rng, std::size_t i) {
-                     features_[i] = rng.uniform(0.0f, 10.0f);
-                   });
-  // Deterministic starting centroids: the first Cn points (the paper uses
-  // random starting positions; a fixed choice keeps validation exact).
-  centroids_.assign(features_.begin(),
-                    features_.begin() + params_.clusters * params_.features);
+  features_ = HostVector<float>(elements);
+  centroids_.assign(std::size_t{params_.clusters} * params_.features, 0.0f);
   membership_.assign(params_.points, -1);
+  input_fill_.reset();
+}
+
+void KMeans::fill_input() {
+  input_fill_.ensure([&] {
+    generate_indexed(features_.size(), kSeed, 1,
+                     [&](SplitMix64& rng, std::size_t i) {
+                       features_[i] = rng.uniform(0.0f, 10.0f);
+                     });
+    // Deterministic starting centroids: the first Cn points (the paper uses
+    // random starting positions; a fixed choice keeps validation exact).
+    std::copy_n(features_.begin(), centroids_.size(), centroids_.begin());
+  });
 }
 
 void KMeans::bind(xcl::Context& ctx, xcl::Queue& q) {
@@ -87,6 +96,7 @@ void KMeans::bind(xcl::Context& ctx, xcl::Queue& q) {
   cluster_buf_->named("centroids");
   membership_buf_.emplace(ctx, membership_.size() * sizeof(std::int32_t));
   membership_buf_->named("membership");
+  if (q.functional()) fill_input();
   // lint: no-deps(bind-time upload: blocking by design, no producers yet)
   q.enqueue_write<float>(*feature_buf_, features_);
   // lint: no-deps(bind-time upload: blocking by design, no producers yet)
@@ -264,6 +274,7 @@ void KMeans::finish() {
 }
 
 Validation KMeans::validate() {
+  fill_input();
   // Reference: identical fixed-round Lloyd iterations from the same
   // deterministic start.
   const unsigned fn = params_.features;

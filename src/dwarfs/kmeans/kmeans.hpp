@@ -74,10 +74,14 @@ class KMeans final : public Dwarf {
   xcl::Event enqueue_assign(std::size_t begin, std::size_t end,
                             std::span<const xcl::Event> wait);
   void host_update_centroids();
+  void fill_input();
 
   Params params_;
+  // The features and the starting centroids drawn from them are generated
+  // on first read (InputFill).
   HostVector<float> features_;       // Pn x Fn, row-major
   std::vector<float> centroids_;     // Cn x Fn (current host copy)
+  InputFill input_fill_;
   HostVector<std::int32_t> membership_;
 
   xcl::Context* ctx_ = nullptr;

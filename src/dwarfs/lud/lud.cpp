@@ -32,22 +32,31 @@ void Lud::setup(ProblemSize size) { configure(dim_for(size)); }
 void Lud::configure(std::size_t n) {
   require(n >= B && n % B == 0, xcl::Status::kInvalidValue,
           "lud dimension must be a positive multiple of 16");
+  const std::size_t elements = checked_elements(n, n, sizeof(float),
+                                                "lud: n x n");
   n_ = n;
-  input_ = HostVector<float>(n_ * n_);
-  generate_indexed(input_.size(), 0x6c7564ull /* "lud" */, 1,
-                   [&](SplitMix64& rng, std::size_t i) {
-                     input_[i] = rng.uniform(0.0f, 1.0f);
-                   });
-  // Diagonal dominance keeps the pivot-free factorization stable.
-  for (std::size_t i = 0; i < n_; ++i) {
-    input_[i * n_ + i] += static_cast<float>(n_);
-  }
-  result_ = HostVector<float>(input_.size());
+  input_ = HostVector<float>(elements);
+  result_ = HostVector<float>(elements);
+  input_fill_.reset();
+}
+
+void Lud::fill_input() const {
+  input_fill_.ensure([&] {
+    generate_indexed(input_.size(), 0x6c7564ull /* "lud" */, 1,
+                     [&](SplitMix64& rng, std::size_t i) {
+                       input_[i] = rng.uniform(0.0f, 1.0f);
+                     });
+    // Diagonal dominance keeps the pivot-free factorization stable.
+    for (std::size_t i = 0; i < n_; ++i) {
+      input_[i * n_ + i] += static_cast<float>(n_);
+    }
+  });
 }
 
 void Lud::bind(xcl::Context& ctx, xcl::Queue& q) {
   queue_ = &q;
   matrix_buf_.emplace(ctx, input_.size() * sizeof(float));
+  if (q.functional()) fill_input();  // run() uploads it
 }
 
 xcl::Kernel Lud::make_diagonal_kernel(xcl::Buffer& matrix, std::size_t n,
@@ -431,7 +440,7 @@ Validation Lud::validate() {
       }
     }
   });
-  return validate_norm(recon, input_, 1e-4, "lud L*U reconstruction");
+  return validate_norm(recon, input(), 1e-4, "lud L*U reconstruction");
 }
 
 void Lud::stream_trace(sim::TraceWriter& out) const {

@@ -90,7 +90,8 @@ class Lud final : public Dwarf {
 
   // ---- partitioned-runner access (harness/partition) ----
   [[nodiscard]] std::size_t dim() const noexcept { return n_; }
-  [[nodiscard]] std::span<const float> input() const noexcept {
+  [[nodiscard]] std::span<const float> input() const {
+    fill_input();
     return input_;
   }
   /// Installs an externally computed factor (the partitioned runner's
@@ -105,9 +106,11 @@ class Lud final : public Dwarf {
   void enqueue_diagonal(std::size_t k);
   void enqueue_perimeter(std::size_t k);
   void enqueue_internal(std::size_t k);
+  void fill_input() const;
 
   std::size_t n_ = 0;
-  HostVector<float> input_;   // original matrix (restored every run)
+  mutable HostVector<float> input_;  // original matrix (restored every run)
+  InputFill input_fill_;
   HostVector<float> result_;  // factorized matrix read back by finish()
 
   xcl::Queue* queue_ = nullptr;

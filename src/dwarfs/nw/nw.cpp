@@ -66,34 +66,42 @@ void Nw::configure(std::size_t n, std::int32_t penalty) {
           "nw length must be a positive multiple of 16");
   require(penalty >= 0, xcl::Status::kInvalidValue,
           "nw penalty must be non-negative");
+  const std::size_t cells = checked_elements(
+      n + 1, n + 1, sizeof(std::int32_t), "nw: (n+1) x (n+1)");
   n_ = n;
   penalty_ = penalty;
-  const std::size_t m = n_ + 1;
-  SplitMix64 rng(0x6e77ull);  // "nw"
-  std::vector<std::uint8_t> seq1(m), seq2(m);
-  for (std::size_t i = 1; i < m; ++i) {
-    seq1[i] = static_cast<std::uint8_t>(rng.below(23));  // residue codes
-    seq2[i] = static_cast<std::uint8_t>(rng.below(23));
-  }
-  // Fresh storage reads zero, which row 0 and column 0 keep.
-  similarity_ = HostVector<std::int32_t>(m * m);
-  xcl::ThreadPool::global().parallel_for(m - 1, [&](std::size_t r) {
-    const std::size_t i = r + 1;
-    const auto& row = kBlosum62[seq1[i]];
-    for (std::size_t j = 1; j < m; ++j) {
-      similarity_[i * m + j] = row[seq2[j]];
+  similarity_ = HostVector<std::int32_t>(cells);
+  init_matrix_ = HostVector<std::int32_t>(cells);
+  result_ = HostVector<std::int32_t>(cells);
+  input_fill_.reset();
+}
+
+void Nw::fill_input() const {
+  input_fill_.ensure([&] {
+    const std::size_t m = n_ + 1;
+    SplitMix64 rng(0x6e77ull);  // "nw"
+    std::vector<std::uint8_t> seq1(m), seq2(m);
+    for (std::size_t i = 1; i < m; ++i) {
+      seq1[i] = static_cast<std::uint8_t>(rng.below(23));  // residue codes
+      seq2[i] = static_cast<std::uint8_t>(rng.below(23));
     }
+    // Fresh storage reads zero, which row 0 and column 0 keep.
+    xcl::ThreadPool::global().parallel_for(m - 1, [&](std::size_t r) {
+      const std::size_t i = r + 1;
+      const auto& row = kBlosum62[seq1[i]];
+      for (std::size_t j = 1; j < m; ++j) {
+        similarity_[i * m + j] = row[seq2[j]];
+      }
+    });
+    for (std::size_t j = 1; j < m; ++j) {
+      init_matrix_[j] = -static_cast<std::int32_t>(j) * penalty_;
+    }
+    // Column 0 touches one page per row: fault them in row-parallel.
+    xcl::ThreadPool::global().parallel_for(m - 1, [&](std::size_t r) {
+      const std::size_t i = r + 1;
+      init_matrix_[i * m] = -static_cast<std::int32_t>(i) * penalty_;
+    });
   });
-  init_matrix_ = HostVector<std::int32_t>(m * m);
-  for (std::size_t j = 1; j < m; ++j) {
-    init_matrix_[j] = -static_cast<std::int32_t>(j) * penalty_;
-  }
-  // Column 0 touches one page per row: fault them in row-parallel.
-  xcl::ThreadPool::global().parallel_for(m - 1, [&](std::size_t r) {
-    const std::size_t i = r + 1;
-    init_matrix_[i * m] = -static_cast<std::int32_t>(i) * penalty_;
-  });
-  result_ = HostVector<std::int32_t>(m * m);
 }
 
 void Nw::bind(xcl::Context& ctx, xcl::Queue& q) {
@@ -101,6 +109,7 @@ void Nw::bind(xcl::Context& ctx, xcl::Queue& q) {
   const std::size_t bytes = init_matrix_.size() * sizeof(std::int32_t);
   score_buf_.emplace(ctx, bytes);
   sim_buf_.emplace(ctx, bytes);
+  if (q.functional()) fill_input();  // uploaded here and by run()
   q.enqueue_write<std::int32_t>(*sim_buf_, similarity_);
 }
 
@@ -210,6 +219,7 @@ Validation Nw::validate() {
   // in a register.  Every cell sees the same diag/up/left operands as in a
   // full-matrix sweep, and is compared as soon as it is known.
   const std::size_t m = n_ + 1;
+  fill_input();
   std::vector<std::int32_t> prev(init_matrix_.begin(),
                                  init_matrix_.begin() + m);
   std::vector<std::int32_t> cur(m);

@@ -87,11 +87,13 @@ class Nw final : public Dwarf {
   // ---- partitioned-runner access (harness/partition) ----
   [[nodiscard]] std::size_t length() const noexcept { return n_; }
   [[nodiscard]] std::int32_t penalty() const noexcept { return penalty_; }
-  [[nodiscard]] std::span<const std::int32_t> similarity() const noexcept {
+  [[nodiscard]] std::span<const std::int32_t> similarity() const {
+    fill_input();
     return similarity_;
   }
   /// Boundary-initialised score matrix each sweep starts from.
-  [[nodiscard]] std::span<const std::int32_t> boundary() const noexcept {
+  [[nodiscard]] std::span<const std::int32_t> boundary() const {
+    fill_input();
     return init_matrix_;
   }
   /// Installs an externally computed score matrix (the partitioned runner's
@@ -104,11 +106,14 @@ class Nw final : public Dwarf {
 
  private:
   void enqueue_diagonal(std::size_t d, std::size_t nb);
+  void fill_input() const;
 
   std::size_t n_ = 0;
   std::int32_t penalty_ = kPenalty;
-  HostVector<std::int32_t> init_matrix_;  // boundary-initialised scores
-  HostVector<std::int32_t> similarity_;   // (n+1)^2, BLOSUM62 lookups
+  // Both (n+1)^2, generated on first read (InputFill).
+  mutable HostVector<std::int32_t> init_matrix_;  // boundary-initialised
+  mutable HostVector<std::int32_t> similarity_;   // BLOSUM62 lookups
+  InputFill input_fill_;
   HostVector<std::int32_t> result_;
 
   xcl::Queue* queue_ = nullptr;

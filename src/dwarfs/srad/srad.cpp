@@ -58,17 +58,25 @@ void Srad::configure(const Params& params) {
           "srad grid must be at least 2x2");
   require(params.lambda > 0.0f && params.lambda <= 1.0f,
           xcl::Status::kInvalidValue, "srad lambda must be in (0, 1]");
+  const std::size_t cells = checked_elements(
+      params.rows, params.cols, sizeof(float), "srad: rows x cols");
   extent_ = {params.rows, params.cols};
   lambda_ = params.lambda;
   iterations_ = std::max(1u, params.iterations);
-  j_in_ = HostVector<float>(extent_.rows * extent_.cols);
-  // Rodinia seeds J = exp(image); a positive speckled field works the same.
-  generate_indexed(j_in_.size(), 0x73726164ull /* "srad" */, 1,
-                   [&](SplitMix64& rng, std::size_t i) {
-                     j_in_[i] = std::exp(rng.uniform(0.0f, 1.0f));
-                   });
-  j_out_ = HostVector<float>(j_in_.size());
-  q0sqr_ = roi_q0sqr(j_in_, extent_.rows, extent_.cols);
+  j_in_ = HostVector<float>(cells);
+  j_out_ = HostVector<float>(cells);
+  input_fill_.reset();
+}
+
+void Srad::fill_input() {
+  input_fill_.ensure([&] {
+    // Rodinia seeds J = exp(image); a positive speckled field works the same.
+    generate_indexed(j_in_.size(), 0x73726164ull /* "srad" */, 1,
+                     [&](SplitMix64& rng, std::size_t i) {
+                       j_in_[i] = std::exp(rng.uniform(0.0f, 1.0f));
+                     });
+    q0sqr_ = roi_q0sqr(j_in_, extent_.rows, extent_.cols);
+  });
 }
 
 void Srad::bind(xcl::Context& ctx, xcl::Queue& q) {
@@ -80,6 +88,7 @@ void Srad::bind(xcl::Context& ctx, xcl::Queue& q) {
   ds_buf_.emplace(ctx, bytes);
   dw_buf_.emplace(ctx, bytes);
   de_buf_.emplace(ctx, bytes);
+  if (q.functional()) fill_input();  // run() uploads it and reads q0sqr_
 }
 
 void Srad::run() {
@@ -347,6 +356,7 @@ void Srad::finish() {
 Validation Srad::validate() {
   const std::size_t rows = extent_.rows;
   const std::size_t cols = extent_.cols;
+  fill_input();
   HostVector<float> jr = j_in_;
   HostVector<float> cr(jr.size()), dnr(jr.size()), dsr(jr.size()),
       dwr(jr.size()), der(jr.size());

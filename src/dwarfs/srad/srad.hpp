@@ -69,11 +69,14 @@ class Srad final : public Dwarf {
   }
 
  private:
+  void fill_input();
   Extent extent_;
   float lambda_ = kLambda;
   unsigned iterations_ = 1;
+  // The image and its ROI statistic, generated on first read (InputFill).
   float q0sqr_ = 0.0f;
   HostVector<float> j_in_;
+  InputFill input_fill_;
   HostVector<float> j_out_;
 
   xcl::Queue* queue_ = nullptr;

@@ -203,6 +203,13 @@ TEST(AppArgs, DwtLevelsPastUnsignedRangeDoNotWrap) {
                     "got -l 4294967297");
 }
 
+// n * n used to wrap to 0 elements, and the app segfaulted writing the
+// diagonal; configure() now rejects the product before sizing anything.
+TEST(AppArgs, LudDimensionWhoseSquareOverflowsExitsWithUsage) {
+  expect_usage_exit(run_app("lud_app", {"--", "-s", "4294967296"}),
+                    "lud: n x n = 4294967296 x 4294967296 elements overflow");
+}
+
 // Every token must be consumed by a declared argument: these used to be
 // ignored while the app ran its defaults and exited 0.
 TEST(AppArgs, UnknownDeviceOptionExitsNamingIt) {

@@ -5,10 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "dwarfs/crc/crc.hpp"
 #include "dwarfs/csr/csr.hpp"
+#include "dwarfs/cwt/cwt.hpp"
 #include "dwarfs/dwt/dwt.hpp"
 #include "dwarfs/fft/fft.hpp"
 #include "dwarfs/gem/gem.hpp"
@@ -18,6 +21,7 @@
 #include "dwarfs/nqueens/nqueens.hpp"
 #include "dwarfs/nw/nw.hpp"
 #include "dwarfs/srad/srad.hpp"
+#include "obs/metrics.hpp"
 #include "sim/testbed.hpp"
 #include "xcl/queue.hpp"
 
@@ -207,6 +211,68 @@ TEST(HmmConfigure, ShapesAndSequenceLengths) {
   EXPECT_THROW(Hmm().configure({1, 1}, 32), xcl::Error);
   EXPECT_THROW(Hmm().configure({4, 0}, 32), xcl::Error);
   EXPECT_THROW(Hmm().configure({4, 2}, 1), xcl::Error);
+}
+
+// A configure() whose array size is a product of two arguments checks the
+// product before it sizes anything, so 2^32 per side (2^64 elements) throws
+// std::invalid_argument naming the arguments instead of wrapping to a
+// small allocation.
+TEST(ConfigureShape, OverflowingProductsThrowNamingTheArguments) {
+  constexpr std::size_t kHuge = std::size_t{1} << 32;
+  const auto expect_named = [](const auto& configure, const std::string& what) {
+    try {
+      configure();
+      ADD_FAILURE() << what << " did not throw";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+          << e.what();
+    }
+  };
+  expect_named([&] { Lud().configure(kHuge); }, "lud: n x n");
+  expect_named([&] { Nw().configure(kHuge, 10); }, "nw: (n+1) x (n+1)");
+  expect_named([&] { Srad().configure({kHuge, kHuge, 0.5f, 1}); },
+               "srad: rows x cols");
+  expect_named([&] { Dwt().configure({kHuge, kHuge}, 1); }, "dwt: w x h");
+  expect_named([&] { Cwt().configure(std::size_t{1} << 62, 16); },
+               "cwt: n x scales");
+  expect_named([&] { KMeans().configure({std::size_t{1} << 62, 26, 5, 1}); },
+               "kmeans: points x features");
+}
+
+// Entry points that install caller data never run the deferred generator:
+// not at configure, not at a functional bind, not at validate.  Each dwarf
+// is first configured with generated input, which the caller data replaces.
+TEST(DeferredInput, CallerDataNeverRunsTheGenerator) {
+  const obs::Counter& fills = obs::counter("dwarfs.input_fills");
+  const std::uint64_t before = fills.value();
+
+  Dwt dwt;
+  dwt.setup(ProblemSize::kTiny);
+  std::vector<float> image(24 * 16);
+  for (std::size_t i = 0; i < image.size(); ++i) {
+    image[i] = static_cast<float>(i % 7) * 0.25f;
+  }
+  dwt.configure_with_image({24, 16}, 2, image);
+  expect_valid(dwt, "dwt from an image");
+  EXPECT_TRUE(std::equal(image.begin(), image.end(), dwt.input().begin(),
+                         dwt.input().end()));
+
+  Fft fft;
+  fft.configure(64);
+  std::vector<float> signal(2 * 64);
+  for (std::size_t i = 0; i < signal.size(); ++i) {
+    signal[i] = static_cast<float>(i % 5) - 2.0f;
+  }
+  fft.set_input(signal);
+  expect_valid(fft, "fft from caller data");
+
+  Gem gem;
+  gem.configure(200);
+  gem.configure_with_molecule(generate_molecule(96, 7));
+  expect_valid(gem, "gem from a molecule");
+  EXPECT_EQ(gem.molecule().atoms(), 96u);
+
+  EXPECT_EQ(fills.value(), before);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <bit>
 #include <cstdio>
 #include <stdexcept>
+#include <string>
 
 #include "dwarfs/crc/crc.hpp"
 #include "dwarfs/csr/csr.hpp"
@@ -203,38 +204,62 @@ constexpr ReferencePin kReferencePins[] = {
       0x1286f25bc922a97full},
 };
 
+// One functional bind -> run -> finish -> validate of the configured
+// dwarf, checked against its kReferencePins entry for `size`.
+void expect_run_matches_pin(Dwarf& d, ProblemSize size) {
+  xcl::Context ctx(host_device());
+  xcl::Queue q(ctx);
+  d.bind(ctx, q);
+  d.run();
+  d.finish();
+  const Validation v = d.validate();
+  char error[64];
+  std::snprintf(error, sizeof(error), "%a", v.error);
+  const std::uint64_t signature = d.result_signature();
+  d.unbind();
+  const auto pin = std::find_if(
+      std::begin(kReferencePins), std::end(kReferencePins),
+      [&](const ReferencePin& p) {
+        return p.dwarf == d.name() && p.size == size;
+      });
+  if (pin == std::end(kReferencePins)) {
+    ADD_FAILURE() << "no pin for {\"" << d.name() << "\", ProblemSize::k"
+                  << (size == ProblemSize::kTiny ? "Tiny" : "Small")
+                  << ", \"" << error << "\", 0x" << std::hex << signature
+                  << "ull},";
+    return;
+  }
+  EXPECT_STREQ(error, pin->error) << d.name() << ' ' << to_string(size);
+  EXPECT_EQ(signature, pin->signature) << d.name() << ' ' << to_string(size);
+}
+
+bool supports(const Dwarf& d, ProblemSize size) {
+  const auto sizes = d.supported_sizes();
+  return std::find(sizes.begin(), sizes.end(), size) != sizes.end();
+}
+
 TEST_P(AllDwarfs, ValidationErrorAndSignatureMatchPins) {
   for (const ProblemSize size : {ProblemSize::kTiny, ProblemSize::kSmall}) {
     auto d = create_dwarf(GetParam());
-    const auto sizes = d->supported_sizes();
-    if (std::find(sizes.begin(), sizes.end(), size) == sizes.end()) continue;
+    if (!supports(*d, size)) continue;
     d->setup(size);
-    xcl::Context ctx(host_device());
-    xcl::Queue q(ctx);
-    d->bind(ctx, q);
-    d->run();
-    d->finish();
-    const Validation v = d->validate();
-    char error[64];
-    std::snprintf(error, sizeof(error), "%a", v.error);
-    const std::uint64_t signature = d->result_signature();
-    d->unbind();
-    const auto pin = std::find_if(
-        std::begin(kReferencePins), std::end(kReferencePins),
-        [&](const ReferencePin& p) {
-          return p.dwarf == GetParam() && p.size == size;
-        });
-    if (pin == std::end(kReferencePins)) {
-      ADD_FAILURE() << "no pin for {\"" << GetParam() << "\", ProblemSize::k"
-                    << (size == ProblemSize::kTiny ? "Tiny" : "Small")
-                    << ", \"" << error << "\", 0x" << std::hex << signature
-                    << "ull},";
-      continue;
-    }
-    EXPECT_STREQ(error, pin->error) << GetParam() << ' ' << to_string(size);
-    EXPECT_EQ(signature, pin->signature)
-        << GetParam() << ' ' << to_string(size);
+    expect_run_matches_pin(*d, size);
   }
+}
+
+// Reconfiguring a dwarf whose input was already generated (at small, or
+// tiny where that is the only size, by a functional run) must make the
+// next run use the new size's input, which the deferred generator fills on
+// that run's bind.
+TEST_P(AllDwarfs, ReconfiguredRunMatchesTheNewSizesPins) {
+  auto d = create_dwarf(GetParam());
+  const ProblemSize first =
+      supports(*d, ProblemSize::kSmall) ? ProblemSize::kSmall
+                                        : ProblemSize::kTiny;
+  d->setup(first);
+  expect_run_matches_pin(*d, first);
+  d->setup(ProblemSize::kTiny);
+  expect_run_matches_pin(*d, ProblemSize::kTiny);
 }
 
 // ---- multi-chunk input pins ----
@@ -311,6 +336,37 @@ TEST(MultiChunkInputPins, GeneratedInputsMatchPins) {
     const std::uint64_t hash = generated_input_hash(pin.what, pin.size);
     EXPECT_EQ(hash, pin.hash)
         << pin.what << ' ' << to_string(pin.size) << ": 0x" << std::hex << hash;
+  }
+}
+
+std::uint64_t input_pin(const std::string& what, ProblemSize s) {
+  for (const InputPin& pin : kInputPins) {
+    if (pin.what == what && pin.size == s) return pin.hash;
+  }
+  ADD_FAILURE() << "no input pin " << what << ' ' << to_string(s);
+  return 0;
+}
+
+// The public accessors generate the input on first read.  One dwarf per
+// accessor is read at medium, reconfigured to large and read again: the
+// second read must return large's pinned input, not medium's.
+TEST(MultiChunkInputPins, AccessorsReturnThePinnedInputAfterReconfigure) {
+  Lud lud;
+  Nw nw_sim;
+  Nw nw_boundary;
+  Gem gem;
+  for (const ProblemSize s : {ProblemSize::kMedium, ProblemSize::kLarge}) {
+    SCOPED_TRACE(to_string(s));
+    lud.setup(s);
+    nw_sim.setup(s);
+    nw_boundary.setup(s);
+    gem.setup(s);
+    EXPECT_EQ(hash_arrays(lud.input()), input_pin("lud_input", s));
+    EXPECT_EQ(hash_arrays(nw_sim.similarity()), input_pin("nw_similarity", s));
+    EXPECT_EQ(hash_arrays(nw_boundary.boundary()), input_pin("nw_boundary", s));
+    const Molecule& m = gem.molecule();
+    EXPECT_EQ(hash_arrays(m.x, m.y, m.z, m.q, m.r),
+              input_pin("generate_molecule", s));
   }
 }
 

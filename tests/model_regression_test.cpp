@@ -8,6 +8,7 @@
 // and EXPERIMENTS.md together.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <ostream>
@@ -16,7 +17,9 @@
 
 #include "dwarfs/registry.hpp"
 #include "harness/runner.hpp"
+#include "obs/metrics.hpp"
 #include "sim/testbed.hpp"
+#include "sim/trace_replay.hpp"
 
 namespace eod::harness {
 namespace {
@@ -165,6 +168,56 @@ TEST_P(ModelOnly, ModeledTimesMatchFunctionalBitExactly) {
       EXPECT_EQ(bits(model.span_seconds), bits(fn.span_seconds));
       EXPECT_EQ(bits(model.transfer_seconds), bits(fn.transfer_seconds));
     }
+  }
+}
+
+// A dwarf whose modeled profile, footprint and trace read only its shape
+// generates its input on first functional use, never in setup() (DESIGN.md
+// §5, "Model-only measurements"): a model-only sweep fills nothing, the
+// first functional bind fills once and a second one does not refill.
+// validate() alone fills, and so does crc's trace, which indexes its table
+// by data byte; every other trace reads only the shape.
+TEST_P(ModelOnly, SweepFillsNoInput) {
+  const ModeCase& c = GetParam();
+  static const std::vector<std::string> kDeferred = {
+      "kmeans", "lud", "fft", "dwt", "srad", "crc", "nw", "gem"};
+  const std::uint64_t once =
+      std::find(kDeferred.begin(), kDeferred.end(), c.bench) !=
+              kDeferred.end()
+          ? 1
+          : 0;
+  const obs::Counter& fills = obs::counter("dwarfs.input_fills");
+  const ProblemSize size = c.sizes.front();
+  auto dwarf = dwarfs::create_dwarf(c.bench);
+  const std::uint64_t before = fills.value();
+  dwarf->setup(size);
+  MeasureOptions o;
+  o.samples = 1;
+  o.functional = false;
+  o.reuse_setup = true;
+  for (const char* device : {"i7-6700K", "GTX 1080"}) {
+    (void)measure(*dwarf, size, sim::testbed_device(device), o);
+  }
+  EXPECT_EQ(fills.value(), before) << "a model-only sweep generated input";
+  o.functional = true;
+  (void)measure(*dwarf, size, sim::testbed_device("i7-6700K"), o);
+  EXPECT_EQ(fills.value(), before + once) << "first functional bind";
+  (void)measure(*dwarf, size, sim::testbed_device("GTX 1080"), o);
+  EXPECT_EQ(fills.value(), before + once) << "second functional bind";
+
+  auto fresh = dwarfs::create_dwarf(c.bench);
+  fresh->setup(size);
+  const std::uint64_t traced = fills.value();
+  (void)sim::hash_trace(
+      [&fresh](sim::TraceWriter& w) { fresh->stream_trace(w); });
+  EXPECT_EQ(fills.value(), traced + (c.bench == "crc" ? 1 : 0))
+      << "stream_trace";
+  if (once == 1) {
+    auto unbound = dwarfs::create_dwarf(c.bench);
+    unbound->setup(size);
+    const std::uint64_t validated = fills.value();
+    (void)unbound->validate();
+    EXPECT_EQ(fills.value(), validated + 1) << "validate() alone";
   }
 }
 
